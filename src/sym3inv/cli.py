@@ -331,6 +331,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
+    except ValueError as exc:  # an argument the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     elapsed = time.perf_counter() - start
 
     parameters = {

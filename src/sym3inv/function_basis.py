@@ -12,9 +12,12 @@ with the degenerate branches: K6 = 0 whenever 2 I2 J2 - 3 J4 = 0 (which
 happens only for D = 0 or u = 0), and I8 = 0 whenever J2 = 0 (i.e. u = 0).
 
 Zero tests near the degenerate locus are exact in the rational field.  In
-the float field a quantity counts as zero below 1e-12 times a
-homogeneity-matched scale (max(1, J2) for the I8 branch, max(1, I2*J2) for
-the K6 branch); this threshold is implementation-defined, not part of the
+the float field a cofactor counts as zero when it is at most 1e-12 times a
+quantity of the same bidegree that vanishes only on the degenerate branch:
+I2*J2 for the K6 cofactor, which the gap bound keeps at or above I2*J2 / 5,
+and J2 for the I8 cofactor 6 J2.  Both tests are invariant under scaling D
+and u separately, so the branch taken does not depend on the magnitude of
+the data; the factor 1e-12 is implementation-defined, not part of the
 underlying mathematics.
 """
 
@@ -58,9 +61,10 @@ def _is_float(values) -> bool:
 
 
 def _is_zero(value, scale, float_field: bool) -> bool:
+    """Exact zero test, or in floats |value| <= 1e-12 |scale| (same bidegree)."""
     if not float_field:
         return value == 0
-    return abs(value) <= FLOAT_ZERO_RTOL * max(1.0, abs(scale))
+    return abs(value) <= FLOAT_ZERO_RTOL * abs(scale)
 
 
 def _solve_linear_term(table, target: str, values: dict):
@@ -104,9 +108,9 @@ def reconstruct_I8(b: ElevenBasis, k6):
     vals = b.as_dict()
     vals["K6"] = k6
     float_field = _is_float(b.values)
-    if _is_zero(vals["J2"], vals["J2"], float_field):
-        return 0.0 if float_field else Fraction(0)
     num, den = _solve_linear_term(TEN_A, "I8", vals)
+    if _is_zero(den, vals["J2"], float_field):
+        return 0.0 if float_field else Fraction(0)
     if float_field:
         return -num / den
     return -Fraction(num) / Fraction(den)

@@ -32,6 +32,8 @@ in doubt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .tensor_core import HarmonicParts, Sym3Tensor, Traceless3Tensor, decompose, expand
 
@@ -109,9 +111,33 @@ def all_invariants(h: HarmonicParts) -> InvariantVector:
     Contractions are grouped through B_kl = D_ijk D_ijl, v and w; each group
     is an exact regrouping of the defining multi-index sum, so rational
     inputs give the same exact values as ``reference_invariants``.
+
+    Rational input with ``Fraction`` entries is contracted in integers: D is
+    scaled by the lcm m_D of its denominators and u by m_u, and an invariant
+    of bidegree (a, b) is divided by m_D**a * m_u**b at the end.  An
+    invariant is a ``Fraction`` exactly when a part it depends on has a
+    ``Fraction`` entry, as with plain ``Fraction`` arithmetic.
     """
-    t = expand(h.deviator)
-    u = h.vector
+    d, u = h.deviator.components, h.vector
+    exact = all(isinstance(x, (int, Fraction)) for x in d + u)
+    d_frac = exact and any(isinstance(x, Fraction) for x in d)
+    u_frac = exact and any(isinstance(x, Fraction) for x in u)
+    if not (d_frac or u_frac):
+        return InvariantVector(_contract(expand(h.deviator), u))
+    m_d = lcm(*(x.denominator for x in d if isinstance(x, Fraction)))
+    m_u = lcm(*(x.denominator for x in u if isinstance(x, Fraction)))
+    scaled = Traceless3Tensor(tuple(int(x * m_d) for x in d))
+    values = _contract(expand(scaled), tuple(int(x * m_u) for x in u))
+    out = []
+    for name, value in zip(NAMES, values):
+        a, b = BIDEGREE[name]
+        out.append(Fraction(value, m_d ** a * m_u ** b)
+                   if (a and d_frac) or (b and u_frac) else value)
+    return InvariantVector(tuple(out))
+
+
+def _contract(t, u) -> tuple:
+    """The thirteen values, in NAMES order, from the expanded D and u."""
     rng = range(3)
     b = [[sum(t[i][j][k] * t[i][j][l] for i in rng for j in rng) for l in rng]
          for k in rng]
@@ -133,7 +159,7 @@ def all_invariants(h: HarmonicParts) -> InvariantVector:
     m6 = _dot(w, w)
     i8 = _dot(bu, bv)
     i10 = sum(t[i][j][k] * v[i] * v[j] * v[k] for i in rng for j in rng for k in rng)
-    return InvariantVector((i2, j2, i4, j4, k4, l4, i6, j6, k6, l6, m6, i8, i10))
+    return (i2, j2, i4, j4, k4, l4, i6, j6, k6, l6, m6, i8, i10)
 
 
 def reference_invariants(h: HarmonicParts) -> InvariantVector:

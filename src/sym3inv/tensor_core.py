@@ -399,7 +399,12 @@ def tensor_from_json(obj) -> Sym3Tensor:
     else:
         if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in comps):
             raise TensorFormatError("float components must be JSON numbers")
-        vals = tuple(float(c) for c in comps)
+        try:
+            vals = tuple(float(c) for c in comps)
+        except OverflowError as exc:
+            raise TensorFormatError("float components must be finite") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise TensorFormatError("float components must be finite (no NaN or Infinity)")
     return Sym3Tensor(vals)
 
 

@@ -6,7 +6,7 @@ does not; together they separate the eleven basis invariants.  The fixture
 data lives in JSON files under ``fixtures/`` with the expected invariant
 values and the tolerance regime appropriate to how precisely the components
 are known: exact rationals, closed-form radicals evaluated in double
-precision, or 4-significant-digit decimals.
+precision, or 4-decimal values.
 
 ``check_witness`` builds the fixture tensor, evaluates all thirteen
 invariants, and compares against the expected values.  For the angle family

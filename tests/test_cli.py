@@ -81,6 +81,28 @@ def test_malformed_file_exit_code(capsys, tmp_path):
     assert code == EXIT_BAD_FILE
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_float_file_exit_code(capsys, tmp_path, literal):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"format": "sym3-v1", "field": "float", "components": ['
+                   + literal + ', 0, 0, 0, 0, 0, 0, 0, 0, 0]}')
+    code, report, err = run_cli(capsys, "invariants", str(bad))
+    assert code == EXIT_BAD_FILE
+    assert report is None
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("discover", "--basis", "13", "--degree", "10", "--seed", "1", "--samples", "10"),
+    ("prop31", "--starts", "0", "--iters", "5", "--seed", "1"),
+])
+def test_rejected_argument_usage_error(capsys, argv):
+    code, report, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert report is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -146,3 +146,69 @@ def test_pure_python_int_fallback_matches(monkeypatch):
     monkeypatch.setattr(ea, "_divexact", lambda a, b: a // b)
     assert rank(m) == want_rank
     assert nullspace(m) == want_null
+
+
+def full_elimination_nullspace(m):
+    """Reference: Bareiss over every row of m, then back-substitution."""
+    import sym3inv.exact_algebra as ea
+
+    a, pivot_cols = ea._echelon(ea._integer_rows(m), m.cols)
+    return ea._kernel_basis(a, pivot_cols, m.cols)
+
+
+def record_eliminations(monkeypatch):
+    """Row count of every Bareiss elimination nullspace runs."""
+    import sym3inv.exact_algebra as ea
+
+    counts = []
+    original = ea._echelon
+
+    def counting(a, ncols):
+        counts.append(len(a))
+        return original(a, ncols)
+
+    monkeypatch.setattr(ea, "_echelon", counting)
+    return counts
+
+
+def test_unlucky_prime_forces_certified_retry(monkeypatch):
+    # every entry of the first row is a multiple of p, so the mod-p pass
+    # misses it; the certificate must catch the kernel vector (1, 0)
+    from sym3inv.exact_algebra import _PRIME as p
+
+    counts = record_eliminations(monkeypatch)
+    assert nullspace(RationalMatrix([[p, 0], [0, 1], [0, 2], [0, 3]])) == []
+    assert counts == [1, 2]
+
+    counts.clear()
+    m = RationalMatrix([[p, 2 * p, 0], [0, 0, 1], [3 * p, 1, 0], [0, 0, 5]])
+    assert nullspace(m) == full_elimination_nullspace(m) == []
+    assert counts[:2] == [2, 3]
+
+
+def test_selected_rows_equal_rank_without_retry(monkeypatch):
+    rng = random.Random(51)
+    m = random_rank_r_matrix(rng, 60, 12, 7)
+    counts = record_eliminations(monkeypatch)
+    basis = nullspace(m)
+    assert counts == [7]
+    assert len(basis) == 12 - 7
+
+
+def test_certified_nullspace_equals_full_elimination():
+    rng = random.Random(52)
+    for trial in range(40):
+        cols = rng.randint(1, 9)
+        rows = rng.randint(cols, 4 * cols + 6)
+        r = rng.randint(0, cols)
+        if r == 0:
+            entries = [[0] * cols for _ in range(rows)]
+        else:
+            entries = [list(row) for row in random_rank_r_matrix(rng, rows, cols, r).entries]
+        if trial % 2:
+            entries = [[F(e, rng.randint(1, 30)) for e in row] for row in entries]
+        if trial % 5 == 0:
+            entries = [[e * 10 ** 40 + (e if k % 3 else 0) for k, e in enumerate(row)]
+                       for row in entries]
+        m = RationalMatrix(entries)
+        assert nullspace(m) == full_elimination_nullspace(m)

@@ -124,3 +124,33 @@ def test_float_degenerate_branch():
     k6 = reconstruct_K6(b)
     assert k6 == 0.0
     assert reconstruct_I8(b, k6) == 0.0
+
+
+def test_float_reconstruction_scale_free():
+    # the branch tests are homogeneous: the same tensors rebuild to the same
+    # relative accuracy whether D and u are scaled together or apart
+    rng = random.Random(8)
+    scales = (1e-8, 1e-5, 1e-2, 1.0, 1e3, 1e8)
+    bidegree = {"K6": (4, 2), "I8": (7, 1)}
+    for _ in range(20):
+        h = random_parts(rng)
+        if all(v == 0 for v in h.vector):
+            continue
+        exact = all_invariants(h)
+        for sd in scales:
+            for su in scales:
+                d = Traceless3Tensor(tuple(float(x) * sd for x in h.deviator.components))
+                u = tuple(float(x) * su for x in h.vector)
+                iv, k6, i8 = reconstruct_pair(HarmonicParts(d, u))
+                for name, got in (("K6", k6), ("I8", i8)):
+                    a, b = bidegree[name]
+                    size = abs(iv["I2"]) ** (a / 2) * abs(iv["J2"]) ** (b / 2)
+                    want = float(exact[name]) * sd ** a * su ** b
+                    assert abs(got - want) <= 1e-8 * size, (name, sd, su)
+    d = Traceless3Tensor(tuple(float(x) for x in (1, 2, 0, -1, 3, 0, 2)))
+    for s in scales:
+        scaled = Traceless3Tensor(tuple(x * s for x in d.components))
+        for parts in (HarmonicParts(scaled, (0.0, 0.0, 0.0)),
+                      HarmonicParts(Traceless3Tensor.zero(), (s, -2 * s, 0.5 * s))):
+            _, k6, i8 = reconstruct_pair(parts)
+            assert k6 == 0.0 and i8 == 0.0

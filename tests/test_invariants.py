@@ -174,6 +174,25 @@ def test_oracle_equivalence_fast_vs_reference():
         assert all_invariants(h).values == reference_invariants(h).values
 
 
+def test_fraction_entries_match_reference_values_and_types():
+    # rational parts are contracted in integers after clearing denominators;
+    # values and int/Fraction types must be those of plain Fraction arithmetic
+    rng = random.Random(24)
+
+    def entry(kind):
+        return (rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 12)),
+                F(rng.randint(-9, 9)), 0)[kind]
+
+    # kinds 0-3: all int, all p/q, all Fraction(n), all 0; kind 4: mixed
+    for dk, uk in ((dk, uk) for dk in range(5) for uk in range(5)):
+        d = tuple(entry(dk if dk < 4 else rng.randrange(4)) for _ in range(7))
+        u = tuple(entry(uk if uk < 4 else rng.randrange(4)) for _ in range(3))
+        h = HarmonicParts(Traceless3Tensor(d), u)
+        got, want = all_invariants(h).values, reference_invariants(h).values
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
 def test_parity_under_vector_flip():
     rng = random.Random(22)
     for _ in range(300):

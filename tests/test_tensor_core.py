@@ -319,6 +319,10 @@ def test_tensor_file_roundtrip_float(tmp_path):
     {"format": "sym3-v1", "field": "float", "components": ["0.5"] * 10},
     {"format": "sym3-v1", "field": "float", "components": [True] * 10},
     ["not", "an", "object"],
+    {"format": "sym3-v1", "field": "float", "components": [float("nan")] + [0.5] * 9},
+    {"format": "sym3-v1", "field": "float", "components": [float("inf")] + [0.5] * 9},
+    {"format": "sym3-v1", "field": "float", "components": [0.5] * 9 + [float("-inf")]},
+    {"format": "sym3-v1", "field": "float", "components": [10 ** 400] + [0.5] * 9},
 ])
 def test_tensor_file_rejects_malformed(bad):
     with pytest.raises(TensorFormatError):
