@@ -119,11 +119,11 @@ def all_invariants(h: HarmonicParts) -> InvariantVector:
     ``Fraction`` entry, as with plain ``Fraction`` arithmetic.
     """
     d, u = h.deviator.components, h.vector
-    exact = all(isinstance(x, (int, Fraction)) for x in d + u)
-    d_frac = exact and any(isinstance(x, Fraction) for x in d)
-    u_frac = exact and any(isinstance(x, Fraction) for x in u)
-    if not (d_frac or u_frac):
+    if (Fraction not in set(map(type, d + u))
+            or not all(isinstance(x, (int, Fraction)) for x in d + u)):
         return InvariantVector(_contract(expand(h.deviator), u))
+    d_frac = any(isinstance(x, Fraction) for x in d)
+    u_frac = any(isinstance(x, Fraction) for x in u)
     m_d = lcm(*(x.denominator for x in d if isinstance(x, Fraction)))
     m_u = lcm(*(x.denominator for x in u if isinstance(x, Fraction)))
     scaled = Traceless3Tensor(tuple(int(x * m_d) for x in d))
