@@ -119,6 +119,8 @@ def all_invariants(h: HarmonicParts) -> InvariantVector:
     ``Fraction`` entry, as with plain ``Fraction`` arithmetic.
     """
     d, u = h.deviator.components, h.vector
+    # int, float and symbolic input, and floats mixed with Fractions, are
+    # contracted as given; the type-set test keeps the int path cheap
     if (Fraction not in set(map(type, d + u))
             or not all(isinstance(x, (int, Fraction)) for x in d + u)):
         return InvariantVector(_contract(expand(h.deviator), u))
