@@ -125,8 +125,10 @@ def cmd_reconstruct(args):
     if tensor.field == RATIONAL:
         ok = dk6 == 0 and di8 == 0
     else:
-        ok = (abs(dk6) <= 1e-8 * max(1.0, abs(iv["K6"]))
-              and abs(di8) <= 1e-8 * max(1.0, abs(iv["I8"])))
+        # I2 + J2 is the squared size of the tensor, so size**3 and size**4
+        # scale like K6 and I8 (degrees 6 and 8) at every magnitude
+        size = iv["I2"] + iv["J2"]
+        ok = abs(dk6) <= 1e-8 * size ** 3 and abs(di8) <= 1e-8 * size ** 4
     results = {
         "field": tensor.field,
         "K6": {"direct": jsonable(iv["K6"]), "reconstructed": jsonable(k6),
@@ -210,6 +212,8 @@ def cmd_prop31(args):
             "vector": list(res.point.vector),
         },
         "feasibility_defect": res.point.feasibility_defect(),
+        "iterations": res.iterations,
+        "backtracks": res.backtracks,
         "above_floor_0.2": above_floor,
         "matches_claimed_minimum": at_claimed_min,
     }

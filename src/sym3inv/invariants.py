@@ -54,6 +54,8 @@ ODD_UNDER_FLIP = frozenset(n for n, (_, b) in BIDEGREE.items() if b % 2 == 1)
 
 DEVIATOR_INVARIANT_NAMES = ("I2", "I4", "I6", "I10")
 
+_INDEX = {name: i for i, name in enumerate(NAMES)}
+
 
 @dataclass(frozen=True)
 class InvariantVector:
@@ -67,7 +69,10 @@ class InvariantVector:
             raise ValueError(f"need {len(NAMES)} values")
 
     def __getitem__(self, name: str):
-        return self.values[NAMES.index(name)]
+        try:
+            return self.values[_INDEX[name]]
+        except KeyError:
+            raise ValueError(f"{name!r} is not in NAMES") from None
 
     def as_dict(self) -> dict:
         return dict(zip(NAMES, self.values))

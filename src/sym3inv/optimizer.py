@@ -7,11 +7,18 @@ unit u is the top eigenvector of M(D) and the search reduces to the
 7-dimensional unit sphere of deviators.  The reduced problem is attacked by
 multi-start projected gradient descent with Armijo backtracking.
 
+All starts descend together as rows of one numpy array: the 7 -> 27 basis
+map and the contractions are einsums and M(D) is diagonalized by
+np.linalg.eigh over the stack.  Each start carries its Armijo step from one
+iteration to the next, accepts only a strict decrease, and stops when its
+gradient vanishes (GRAD_TOL) or its step underflows, i.e. when no descent is
+left at working precision.
+
 This module certifies *consistency* with the 0.2 minimum claim - multi-start
 local search plus large-sample probing - not global optimality.
 
 All randomness is seeded; per-start trajectories depend only on
-(seed, start index).
+(seed, start index), not on how many starts run alongside.
 """
 
 from __future__ import annotations
@@ -48,74 +55,36 @@ def _orthonormal_deviator_basis():
     return basis
 
 
-_BASIS = _orthonormal_deviator_basis()
+_BASIS = np.array(_orthonormal_deviator_basis())  # (7, 27)
 
 # 27-entry flattening of the component placement, for coordinate readback:
 # independent component positions (i, j, k) zero-based -> flat index 9i+3j+k
-_INDEP_FLAT = (0, 1, 2, 4, 5, 13, 14)  # D111 D112 D113 D122 D123 D222 D223
+_INDEP_FLAT = [0, 1, 2, 4, 5, 13, 14]  # D111 D112 D113 D122 D123 D222 D223
+
+
+def _expand(x):
+    """27-entry expansions sum_a x[..., a] * basis[a] of coordinates x (..., 7).
+
+    einsum rather than a matrix product: BLAS rounds differently with the
+    batch size, einsum keeps each row equal to its single-row evaluation.
+    """
+    return np.einsum("...a,ai->...i", x, _BASIS)
 
 
 def deviator_from_coords(x) -> Traceless3Tensor:
     """Deviator whose 27-entry expansion is sum_a x[a] * basis[a]."""
-    flat = [0.0] * 27
-    for c, e in zip(x, _BASIS):
-        for i in range(27):
-            flat[i] += c * e[i]
-    return Traceless3Tensor(tuple(flat[i] for i in _INDEP_FLAT))
+    return Traceless3Tensor(tuple(_expand(np.asarray(x, dtype=float))[_INDEP_FLAT].tolist()))
 
 
 def coords_from_deviator(d: Traceless3Tensor):
-    t = expand(d)
-    flat = [t[i][j][k] for i in range(3) for j in range(3) for k in range(3)]
-    return [sum(x * y for x, y in zip(flat, e)) for e in _BASIS]
-
-
-def _contraction_matrix(flat):
-    """M(D)_kl = D_ijk D_ijl from the flat 27-entry expansion."""
-    m = [[0.0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            base = 9 * i + 3 * j
-            for k in range(3):
-                dk = flat[base + k]
-                if dk:
-                    row = m[k]
-                    for l in range(3):
-                        row[l] += dk * flat[base + l]
-    return m
+    flat = np.ravel(np.array(expand(d), dtype=float))
+    return np.einsum("ai,i->a", _BASIS, flat)
 
 
 def symmetric_eigh3(m):
-    """Eigenvalues (ascending) and eigenvectors of a symmetric 3x3, cyclic Jacobi.
-
-    Sweeps until the off-diagonal is below 1e-14 * scale, which puts the
-    eigenresidual |M w - lambda w| well under 1e-12 for unit-scale input.
-    """
-    a = [row[:] for row in m]
-    v = [[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
-    scale = max(1.0, max(abs(a[i][j]) for i in range(3) for j in range(3)))
-    for _ in range(30):
-        if max(abs(a[0][1]), abs(a[0][2]), abs(a[1][2])) < 1e-14 * scale:
-            break
-        for p in range(2):
-            for q in range(p + 1, 3):
-                if abs(a[p][q]) < 1e-300:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * a[p][q], a[q][q] - a[p][p])
-                c, s = math.cos(theta), math.sin(theta)
-                for k in range(3):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k], a[q][k] = c * apk - s * aqk, s * apk + c * aqk
-                for k in range(3):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p], a[k][q] = c * akp - s * akq, s * akp + c * akq
-                for k in range(3):
-                    vkp, vkq = v[k][p], v[k][q]
-                    v[k][p], v[k][q] = c * vkp - s * vkq, s * vkp + c * vkq
-    order = sorted(range(3), key=lambda i: a[i][i])
-    eigenvalues = [a[i][i] for i in order]
-    eigenvectors = [[v[k][i] for k in range(3)] for i in order]
-    return eigenvalues, eigenvectors
+    """Eigenvalues (ascending) and eigenvectors (as rows) of a stack of symmetric 3x3s."""
+    eigenvalues, eigenvectors = np.linalg.eigh(m)
+    return eigenvalues, np.swapaxes(eigenvectors, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -146,6 +115,22 @@ def objective(p: FeasiblePoint, feas_tol: float = 1e-3) -> float:
     return 2.0 * iv["I2"] * iv["J2"] - 3.0 * iv["J4"]
 
 
+def _evaluate(x):
+    """Reduced value, sphere-projected gradient, top eigen gap and top eigenvector.
+
+    One row of each per row of the unit coordinates x, shape (n, 7).
+    """
+    flat = _expand(x).reshape(-1, 9, 3)
+    eigenvalues, eigenvectors = symmetric_eigh3(np.einsum("nak,nal->nkl", flat, flat))
+    w = eigenvectors[:, -1]
+    # d(lambda_max)/dD_ijl = 2 (sum_k D_ijk w_k) w_l
+    g27 = 2.0 * np.einsum("nak,nk->na", flat, w)[:, :, None] * w[:, None, :]
+    grad = -3.0 * np.einsum("ni,ai->na", g27.reshape(-1, 27), _BASIS)
+    grad -= np.einsum("na,na->n", grad, x)[:, None] * x
+    gap = eigenvalues[:, -1] - eigenvalues[:, -2]
+    return 2.0 - 3.0 * eigenvalues[:, -1], grad, gap, w
+
+
 def inner_solve_u(d: Traceless3Tensor, tol: float = 1e-6):
     """Optimal unit u for a unit-norm deviator, and the reduced objective.
 
@@ -153,113 +138,107 @@ def inner_solve_u(d: Traceless3Tensor, tol: float = 1e-6):
     objective value is 2 - 3 * lambda_max(M(D)).
     """
     x = coords_from_deviator(d)
-    norm2 = sum(c * c for c in x)
+    norm2 = float(x @ x)
     if abs(norm2 - 1.0) > tol:
         raise ValueError(f"deviator norm^2 = {norm2:.6f}, expected 1")
-    t = expand(d)
-    flat = [t[i][j][k] for i in range(3) for j in range(3) for k in range(3)]
-    eigenvalues, eigenvectors = symmetric_eigh3(_contraction_matrix(flat))
-    return tuple(eigenvectors[-1]), 2.0 - 3.0 * eigenvalues[-1]
-
-
-def _reduced_value(x):
-    flat = [0.0] * 27
-    for c, e in zip(x, _BASIS):
-        for i in range(27):
-            flat[i] += c * e[i]
-    eigenvalues, _ = symmetric_eigh3(_contraction_matrix(flat))
-    return 2.0 - 3.0 * eigenvalues[-1]
-
-
-def _reduced_value_grad(x):
-    """Value, sphere-projected gradient, and top eigen gap at unit coords x."""
-    flat = [0.0] * 27
-    for c, e in zip(x, _BASIS):
-        for i in range(27):
-            flat[i] += c * e[i]
-    eigenvalues, eigenvectors = symmetric_eigh3(_contraction_matrix(flat))
-    lam = eigenvalues[-1]
-    gap = eigenvalues[-1] - eigenvalues[-2]
-    w = eigenvectors[-1]
-    # d(lambda_max)/dD_ijk = 2 (sum_l D_ijl w_l) w_k
-    g27 = [0.0] * 27
-    for i in range(3):
-        for j in range(3):
-            base = 9 * i + 3 * j
-            s = flat[base] * w[0] + flat[base + 1] * w[1] + flat[base + 2] * w[2]
-            g27[base] = 2.0 * s * w[0]
-            g27[base + 1] = 2.0 * s * w[1]
-            g27[base + 2] = 2.0 * s * w[2]
-    grad = [-3.0 * sum(gi * ei for gi, ei in zip(g27, e)) for e in _BASIS]
-    radial = sum(gi * xi for gi, xi in zip(grad, x))
-    grad = [gi - radial * xi for gi, xi in zip(grad, x)]
-    return 2.0 - 3.0 * lam, grad, gap
+    value, _, _, w = _evaluate(x[None, :])
+    return tuple(w[0].tolist()), float(value[0])
 
 
 def _normalize(x):
-    n = math.sqrt(sum(v * v for v in x))
-    return [v / n for v in x]
+    return x / np.sqrt(np.einsum("...a,...a->...", x, x))[..., None]
 
 
-def _descend(x, iters, rng):
-    """Projected gradient descent on the unit sphere with Armijo backtracking."""
+def _descend(x, iters, rngs):
+    """Projected gradient descent on the unit sphere, one start per row of x.
+
+    Each start carries its own Armijo step: an iteration tries
+    min(ARMIJO_INIT, twice the last accepted step) and shrinks it until the
+    candidate is strictly below the current value and meets the Armijo
+    condition.  A start stops when its gradient norm is at most GRAD_TOL or
+    its step falls to 1e-16 (no descent at working precision).  rngs[s]
+    draws the nudges of start s, so each row follows the trajectory it would
+    follow alone.  Returns the final coordinates, values and gradient norms,
+    and per start the iterations that moved it (steps and nudges) and the
+    rejected candidates (backtracks).
+    """
+    x = np.array(x, dtype=float)
+    n = len(x)
+    f, grad, grad_norm2 = np.empty(n), np.empty((n, 7)), np.empty(n)
+    step = np.full(n, ARMIJO_INIT)
+    moves, backtracks = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    running = np.ones(n, dtype=bool)
     for _ in range(iters):
-        f, grad, gap = _reduced_value_grad(x)
-        grad_norm = math.sqrt(sum(g * g for g in grad))
-        if grad_norm <= GRAD_TOL:
+        active = np.flatnonzero(running)
+        if not active.size:
             break
-        if gap < EIGEN_GAP_TOL:
+        f[active], grad[active], gap, _ = _evaluate(x[active])
+        grad_norm2[active] = np.einsum("na,na->n", grad[active], grad[active])
+        converged = np.sqrt(grad_norm2[active]) <= GRAD_TOL
+        running[active[converged]] = False
+        kinked = ~converged & (gap < EIGEN_GAP_TOL)
+        for s in active[kinked]:
             # nonsmooth near an eigenvalue crossing: restart from a nudge
-            x = _normalize([xi + 1e-6 * rng.gauss(0.0, 1.0) for xi in x])
-            continue
-        step = ARMIJO_INIT
-        moved = False
-        while step > 1e-16:
-            candidate = _normalize([xi - step * gi for xi, gi in zip(x, grad)])
-            if _reduced_value(candidate) <= f - ARMIJO_SLOPE * step * grad_norm ** 2:
-                x = candidate
-                moved = True
-                break
-            step *= ARMIJO_SHRINK
-        if not moved:
-            break  # no descent direction at working precision
-    f, grad, _ = _reduced_value_grad(x)
-    grad_norm = math.sqrt(sum(g * g for g in grad))
-    return x, f, grad_norm
+            x[s] = _normalize(x[s] + 1e-6 * np.array([rngs[s].gauss(0.0, 1.0) for _ in range(7)]))
+        moves[active[kinked]] += 1
+        pending = active[~converged & ~kinked]
+        step[pending] = np.minimum(ARMIJO_INIT, 2.0 * step[pending])
+        while pending.size:
+            candidate = _normalize(x[pending] - step[pending, None] * grad[pending])
+            fc = _evaluate(candidate)[0]
+            fs = f[pending]
+            ok = (fc < fs) & (fc <= fs - ARMIJO_SLOPE * step[pending] * grad_norm2[pending])
+            x[pending[ok]] = candidate[ok]
+            moves[pending[ok]] += 1
+            pending = pending[~ok]
+            backtracks[pending] += 1
+            step[pending] *= ARMIJO_SHRINK
+            running[pending[step[pending] <= 1e-16]] = False
+            pending = pending[step[pending] > 1e-16]
+    f, grad, _, _ = _evaluate(x)
+    return x, f, np.sqrt(np.einsum("na,na->n", grad, grad)), moves, backtracks
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """Best point of a descent.
+
+    iterations (steps and nudges) and backtracks (rejected Armijo
+    candidates) are summed over all starts.
+    """
+
     point: FeasiblePoint
     value: float
     grad_norm: float
     start_index: int
+    iterations: int
+    backtracks: int
+
+
+def _result(descent, s, start_index):
+    """MinimizeResult for row s of a _descend output."""
+    x, f, grad_norm, moves, backtracks = descent
+    d = deviator_from_coords(x[s])
+    u, _ = inner_solve_u(d)
+    return MinimizeResult(FeasiblePoint(d, u), float(f[s]), float(grad_norm[s]),
+                          start_index, int(moves.sum()), int(backtracks.sum()))
 
 
 def minimize(seed: int, starts: int, iters: int) -> MinimizeResult:
     """Multi-start projected gradient descent; deterministic in the seed."""
     if starts < 1 or iters < 1:
         raise ValueError("starts and iters must be >= 1")
-    best = None
-    for s in range(starts):
-        rng = random.Random(f"{seed}:{s}")
-        x0 = _normalize([rng.gauss(0.0, 1.0) for _ in range(7)])
-        x, f, grad_norm = _descend(x0, iters, rng)
-        if best is None or f < best[1]:
-            best = (x, f, grad_norm, s)
-    x, f, grad_norm, s = best
-    d = deviator_from_coords(x)
-    u, _ = inner_solve_u(d)
-    return MinimizeResult(FeasiblePoint(d, u), f, grad_norm, s)
+    rngs = [random.Random(f"{seed}:{s}") for s in range(starts)]
+    x0 = _normalize(np.array([[rng.gauss(0.0, 1.0) for _ in range(7)] for rng in rngs]))
+    descent = _descend(x0, iters, rngs)
+    s = int(np.argmin(descent[1]))  # ties go to the first start
+    return _result(descent, s, s)
 
 
 def refine_from(d: Traceless3Tensor, iters: int, seed: int = 0) -> MinimizeResult:
     """Run the descent from a given deviator (renormalized to the sphere)."""
-    x = _normalize(coords_from_deviator(d))
-    x, f, grad_norm = _descend(x, iters, random.Random(f"refine:{seed}"))
-    dev = deviator_from_coords(x)
-    u, _ = inner_solve_u(dev)
-    return MinimizeResult(FeasiblePoint(dev, u), f, grad_norm, -1)
+    x = _normalize(coords_from_deviator(d))[None, :]
+    return _result(_descend(x, iters, [random.Random(f"refine:{seed}")]), 0, -1)
 
 
 def sample_feasible_values(seed: int, count: int, chunk: int = 100_000) -> np.ndarray:
@@ -270,14 +249,13 @@ def sample_feasible_values(seed: int, count: int, chunk: int = 100_000) -> np.nd
     and evaluates 2 - 3 u^T M(D) u.
     """
     rng = np.random.default_rng(seed)
-    basis = np.array(_BASIS)  # (7, 27)
     out = np.empty(count)
     done = 0
     while done < count:
         n = min(chunk, count - done)
         x = rng.standard_normal((n, 7))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        flat = (x @ basis).reshape(n, 9, 3)
+        flat = (x @ _BASIS).reshape(n, 9, 3)
         m = np.einsum("nak,nal->nkl", flat, flat)
         u = rng.standard_normal((n, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from sym3inv import FLOAT, Sym3Tensor, random_sym3, save_tensor
+from sym3inv import FLOAT, Sym3Tensor, cli, random_sym3, save_tensor
 from sym3inv.cli import (
     EXIT_BAD_FILE,
     EXIT_CHECK_FAILED,
@@ -131,6 +131,17 @@ def test_reconstruct_float(capsys, float_file):
     assert abs(report["results"]["K6"]["difference"]) < 1e-8
 
 
+def test_reconstruct_float_test_scales_with_degree(capsys, tmp_path, monkeypatch):
+    # at this scale K6 is about 1e-34: an absolute tolerance would pass 0.0
+    path = tmp_path / "tiny.json"
+    save_tensor(Sym3Tensor(tuple(1e-6 * c for c in (1, 2, 0, 3, 0, 1, 2, 0, 1, 3))), path)
+    code, report, _ = run_cli(capsys, "reconstruct", str(path))
+    assert code == EXIT_OK and report["pass"] is True
+    monkeypatch.setattr(cli, "reconstruct_K6", lambda basis: 0.0)
+    code, report, _ = run_cli(capsys, "reconstruct", str(path))
+    assert code == EXIT_CHECK_FAILED and report["pass"] is False
+
+
 def test_verify_syzygies(capsys):
     code, report, _ = run_cli(capsys, "verify-syzygies", "--samples", "10", "--seed", "7")
     assert code == EXIT_OK
@@ -169,6 +180,17 @@ def test_prop31(capsys):
     assert code == EXIT_OK
     assert abs(report["results"]["best_value"] - 0.2) < 1e-3
     assert report["results"]["feasibility_defect"] < 1e-10
+    assert report["results"]["iterations"] > 0
+    assert report["results"]["backtracks"] > 0
+
+
+def test_prop31_report_determinism_modulo_wall_time(capsys):
+    reports = []
+    for _ in range(2):
+        _, report, _ = run_cli(capsys, "prop31", "--starts", "5", "--iters", "200", "--seed", "2")
+        assert report.pop("wall_time_seconds") is not None
+        reports.append(json.dumps(report))
+    assert reports[0] == reports[1]
 
 
 def test_witness_l6(capsys):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,13 @@ def test_invariant_vector_metadata_access():
     assert InvariantVector.degree("I10") == 10
     assert InvariantVector.parity("K4") == "odd"
     assert InvariantVector.parity("M6") == "even"
+
+
+def test_invariant_vector_lookup_by_name():
+    iv = InvariantVector(tuple(range(13)))
+    assert [iv[name] for name in NAMES] == list(range(13))
+    with pytest.raises(ValueError):
+        iv["K8"]
 
 
 # ---- auxiliary vectors ----

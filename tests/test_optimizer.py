@@ -16,9 +16,9 @@ from sym3inv import (
     objective,
 )
 from sym3inv.optimizer import (
-    _contraction_matrix,
-    _reduced_value,
-    _reduced_value_grad,
+    _descend,
+    _evaluate,
+    _normalize,
     coords_from_deviator,
     deviator_from_coords,
     refine_from,
@@ -40,27 +40,38 @@ def unit_deviator(seed):
 
 
 def contraction_matrix_of(d):
+    """Reference M(D)_kl = D_ijk D_ijl by plain loops over the expansion."""
     t = expand(d)
-    flat = [t[i][j][k] for i in range(3) for j in range(3) for k in range(3)]
-    return _contraction_matrix(flat)
+    return [[sum(t[i][j][k] * t[i][j][l] for i in range(3) for j in range(3))
+             for l in range(3)] for k in range(3)]
+
+
+def unit_starts(seed, n):
+    """The start coordinates and nudge generators minimize(seed, n, ...) uses."""
+    rngs = [random.Random(f"{seed}:{s}") for s in range(n)]
+    x0 = _normalize(np.array([[rng.gauss(0.0, 1.0) for _ in range(7)] for rng in rngs]))
+    return x0, rngs
 
 
 # ---- eigensolver ----
 
 def test_eigh3_against_numpy():
     rng = random.Random(0)
+    stack = []
     for _ in range(200):
         m = [[rng.uniform(-3, 3) for _ in range(3)] for _ in range(3)]
         for i in range(3):
             for j in range(i):
                 m[i][j] = m[j][i]
-        vals, vecs = symmetric_eigh3(m)
-        ref = np.linalg.eigvalsh(np.array(m))
+        stack.append(m)
+    stack = np.array(stack)
+    all_vals, all_vecs = symmetric_eigh3(stack)
+    for m, vals, vecs in zip(stack, all_vals, all_vecs):
+        ref = np.linalg.eigvalsh(m)
         scale = max(1.0, np.abs(ref).max())
         assert np.allclose(vals, ref, atol=1e-12 * scale)
         for lam, w in zip(vals, vecs):
-            w = np.array(w)
-            resid = np.abs(np.array(m) @ w - lam * w).max()
+            resid = np.abs(m @ w - lam * w).max()
             assert resid < 1e-12 * scale
 
 
@@ -161,26 +172,22 @@ def test_j4_is_a_sum_of_squares():
 
 def test_gradient_matches_finite_differences():
     h = 1e-5
+    xs = []
     for seed in range(100):
         rng = random.Random(seed)
         x = [rng.gauss(0, 1) for _ in range(7)]
         n = math.sqrt(sum(v * v for v in x))
-        x = [v / n for v in x]
-        _, grad, gap = _reduced_value_grad(x)
+        xs.append([v / n for v in x])
+    xs = np.array(xs)
+    _, grads, gaps, _ = _evaluate(xs)
+    shifts = h * np.eye(7)
+    fp = _evaluate(_normalize((xs[:, None, :] + shifts).reshape(-1, 7)))[0].reshape(-1, 7)
+    fm = _evaluate(_normalize((xs[:, None, :] - shifts).reshape(-1, 7)))[0].reshape(-1, 7)
+    for seed, (grad, gap, fd) in enumerate(zip(grads, gaps, (fp - fm) / (2 * h))):
         if gap < 1e-4:
             continue  # nonsmooth near an eigenvalue crossing
-        fd = []
-        for i in range(7):
-            xp = list(x)
-            xm = list(x)
-            xp[i] += h
-            xm[i] -= h
-            np_ = math.sqrt(sum(v * v for v in xp))
-            nm = math.sqrt(sum(v * v for v in xm))
-            fd.append((_reduced_value([v / np_ for v in xp])
-                       - _reduced_value([v / nm for v in xm])) / (2 * h))
-        diff = math.sqrt(sum((a - b) ** 2 for a, b in zip(grad, fd)))
-        norm = math.sqrt(sum(g * g for g in grad))
+        diff = np.linalg.norm(grad - fd)
+        norm = np.linalg.norm(grad)
         assert diff <= 1e-5 * max(1.0, norm), (seed, diff, norm)
 
 
@@ -219,6 +226,22 @@ def test_descent_from_printed_minimizer():
     res = refine_from(MINIMIZER_DEVIATOR, iters=500)
     assert abs(res.value - 0.2) < 1e-3
     assert res.grad_norm <= 1e-6
+
+
+def test_descent_from_printed_minimizer_stops_early():
+    # the step underflows at the minimum instead of backtracking every iteration
+    res = refine_from(MINIMIZER_DEVIATOR, iters=500)
+    assert res.iterations < 100
+    assert res.backtracks < 100
+
+
+def test_batched_descent_rows_equal_single_starts():
+    x0, rngs = unit_starts(2024, 20)
+    batched = _descend(x0, 500, rngs)
+    x0, rngs = unit_starts(2024, 20)
+    for s in range(20):
+        single = _descend(x0[s:s + 1], 500, [rngs[s]])
+        assert all(np.array_equal(a[s], b[0]) for a, b in zip(batched, single)), s
 
 
 def test_sampled_objective_floor_and_nonnegativity():
