@@ -235,6 +235,13 @@ def test_descent_from_printed_minimizer_stops_early():
     assert res.backtracks < 100
 
 
+def test_minimize_starts_stop_at_working_precision():
+    # a start at the minimum stops once no candidate is strictly lower,
+    # instead of accepting equal values until its 500 iterations run out
+    res = minimize(seed=2024, starts=20, iters=500)
+    assert res.iterations < 20 * 100
+
+
 def test_batched_descent_rows_equal_single_starts():
     x0, rngs = unit_starts(2024, 20)
     batched = _descend(x0, 500, rngs)
