@@ -21,8 +21,6 @@ from .invariants import (
     invariants_of,
     reference_invariants,
     deviator_invariants,
-    v_vector,
-    w_vector,
 )
 from .optimizer import FeasiblePoint, inner_solve_u, minimize, objective
 from .syzygy import (
@@ -47,7 +45,6 @@ from .tensor_core import (
     load_tensor,
     random_orthogonal,
     random_sym3,
-    random_traceless,
     recompose,
     rotate,
     save_tensor,
@@ -63,8 +60,7 @@ __all__ = [
     "all_invariants", "builtin_relations", "check_witness", "decompose",
     "discover_relations", "enumerate_products", "evaluate_products", "expand",
     "in_span", "inner_solve_u", "invariants_of", "load_tensor", "minimize",
-    "objective", "random_orthogonal", "random_sym3", "random_traceless",
+    "objective", "random_orthogonal", "random_sym3",
     "reconstruct_I8", "reconstruct_K6", "recompose", "reference_invariants",
-    "rotate", "save_tensor", "deviator_invariants", "v_vector", "verify_relation",
-    "w_vector", "witness_tensor",
+    "rotate", "save_tensor", "deviator_invariants", "verify_relation", "witness_tensor",
 ]

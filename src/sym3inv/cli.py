@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -37,12 +38,13 @@ from .tensor_core import (
     TensorFormatError,
     load_tensor,
     decompose,
+    format_rational,
     random_orthogonal,
     random_sym3,
     rotate,
     save_tensor,
 )
-from .witnesses import WITNESS_CASES, check_witness
+from .witnesses import WITNESS_CASES, check_witness, witness_instance_tensor
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,7 +68,7 @@ class FieldMismatchError(ValueError):
 def jsonable(value):
     """Recursively convert results to JSON-ready values (Fraction -> 'p/q')."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return format_rational(value)
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -221,34 +223,28 @@ def cmd_prop31(args):
 
 
 def cmd_witness(args):
+    if args.write_tensor and args.case == "J4" and args.theta is None:
+        print("error: --write-tensor with case J4 needs an explicit --theta",
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     params = None
     if args.params is not None:
         params = tuple(int(p) if p.is_integer() else p for p in args.params)
     report = check_witness(args.case, theta=args.theta, params=params)
     if args.write_tensor:
-        tensor = _witness_instance_tensor(args.case, args.theta, params)
-        save_tensor(tensor, args.write_tensor)
+        save_tensor(witness_instance_tensor(args.case, args.theta, params), args.write_tensor)
         report = {**report, "tensor_file": args.write_tensor}
     return report, report["pass"]
 
 
-def _witness_instance_tensor(case, theta, params):
-    from .tensor_core import recompose
-    from .witnesses import j4_tensor, load_fixture, m6_harmonic_parts, witness_tensor
-    from .tensor_core import parse_rational
-
-    if case == "J4":
-        if theta is None:
-            print("error: --write-tensor with case J4 needs an explicit --theta",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        return j4_tensor(theta)
-    if case == "M6":
-        if params is None:
-            raw = load_fixture("M6")["instances"][0]["params"]
-            params = tuple(parse_rational(raw[k]) for k in "abcd")
-        return recompose(m6_harmonic_parts(*params))
-    return witness_tensor(case)
+def _check_arguments(args):
+    """Raise ValueError for a non-finite float argument or a --samples below 1."""
+    for name, value in vars(args).items():
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ValueError(f"--{name} must be finite")
+    if getattr(args, "samples", 1) < 1:
+        raise ValueError("--samples must be >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,6 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        _check_arguments(args)
         results, passed = args.func(args)
     except TensorFormatError as exc:
         print(f"error: malformed tensor file: {exc}", file=sys.stderr)

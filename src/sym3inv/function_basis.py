@@ -28,8 +28,11 @@ from fractions import Fraction
 
 from .invariants import NAMES, InvariantVector
 from .relations import TEN_A, TEN_B
+from .tensor_core import FLOAT, field_of
 
 ELEVEN_NAMES = tuple(n for n in NAMES if n not in ("K6", "I8"))
+
+_ELEVEN_INDEX = {name: i for i, name in enumerate(ELEVEN_NAMES)}
 
 FLOAT_ZERO_RTOL = 1e-12
 
@@ -46,7 +49,10 @@ class ElevenBasis:
             raise ValueError(f"need {len(ELEVEN_NAMES)} values")
 
     def __getitem__(self, name: str):
-        return self.values[ELEVEN_NAMES.index(name)]
+        try:
+            return self.values[_ELEVEN_INDEX[name]]
+        except KeyError:
+            raise ValueError(f"{name!r} is not in ELEVEN_NAMES") from None
 
     def as_dict(self) -> dict:
         return dict(zip(ELEVEN_NAMES, self.values))
@@ -54,17 +60,6 @@ class ElevenBasis:
     @classmethod
     def from_invariants(cls, iv: InvariantVector) -> "ElevenBasis":
         return cls(tuple(iv[n] for n in ELEVEN_NAMES))
-
-
-def _is_float(values) -> bool:
-    return any(isinstance(v, float) for v in values)
-
-
-def _is_zero(value, scale, float_field: bool) -> bool:
-    """Exact zero test, or in floats |value| <= 1e-12 |scale| (same bidegree)."""
-    if not float_field:
-        return value == 0
-    return abs(value) <= FLOAT_ZERO_RTOL * abs(scale)
 
 
 def _solve_linear_term(table, target: str, values: dict):
@@ -88,32 +83,31 @@ def _solve_linear_term(table, target: str, values: dict):
     return num, den
 
 
+def _solve_for(table, target: str, vals: dict, scale, field: str):
+    """target from the relation den*target + num = 0; 0 when den is zero.
+
+    den is zero exactly in the rational field; in floats when
+    |den| <= 1e-12 |scale|, scale of the same bidegree as den.
+    """
+    num, den = _solve_linear_term(table, target, vals)
+    if field == FLOAT:
+        return 0.0 if abs(den) <= FLOAT_ZERO_RTOL * abs(scale) else -num / den
+    return Fraction(0) if den == 0 else -Fraction(num) / Fraction(den)
+
+
 def reconstruct_K6(b: ElevenBasis):
     """K6 from the eleven basis values; 0 on the degenerate branch.
 
     The cofactor of K6 is 2 I2 J2 - 3 J4; when it vanishes, K6 itself is 0.
     """
     vals = b.as_dict()
-    float_field = _is_float(b.values)
-    num, den = _solve_linear_term(TEN_B, "K6", vals)
-    if _is_zero(den, vals["I2"] * vals["J2"], float_field):
-        return 0.0 if float_field else Fraction(0)
-    if float_field:
-        return -num / den
-    return -Fraction(num) / Fraction(den)
+    return _solve_for(TEN_B, "K6", vals, vals["I2"] * vals["J2"], field_of(b.values))
 
 
 def reconstruct_I8(b: ElevenBasis, k6):
     """I8 from the eleven basis values plus K6; 0 when J2 = 0 (u = 0)."""
-    vals = b.as_dict()
-    vals["K6"] = k6
-    float_field = _is_float(b.values)
-    num, den = _solve_linear_term(TEN_A, "I8", vals)
-    if _is_zero(den, vals["J2"], float_field):
-        return 0.0 if float_field else Fraction(0)
-    if float_field:
-        return -num / den
-    return -Fraction(num) / Fraction(den)
+    vals = {**b.as_dict(), "K6": k6}
+    return _solve_for(TEN_A, "I8", vals, vals["J2"], field_of(b.values))
 
 
 def recover_full_vector(b: ElevenBasis) -> InvariantVector:

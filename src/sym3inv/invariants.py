@@ -90,26 +90,6 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def v_vector(d: Traceless3Tensor) -> tuple:
-    """v_p = D_ijk D_ijl D_klp, contracted on the expanded array."""
-    t = expand(d)
-    rng = range(3)
-    b = [[sum(t[i][j][k] * t[i][j][l] for i in rng for j in rng) for l in rng]
-         for k in rng]
-    return tuple(
-        sum(b[k][l] * t[k][l][p] for k in rng for l in rng) for p in rng
-    )
-
-
-def w_vector(d: Traceless3Tensor, u) -> tuple:
-    """w_k = D_ijk u_i u_j."""
-    t = expand(d)
-    rng = range(3)
-    return tuple(
-        sum(t[i][j][k] * u[i] * u[j] for i in rng for j in rng) for k in rng
-    )
-
-
 def all_invariants(h: HarmonicParts) -> InvariantVector:
     """Evaluate all thirteen invariants of the harmonic parts (D, u).
 
@@ -143,13 +123,20 @@ def all_invariants(h: HarmonicParts) -> InvariantVector:
     return InvariantVector(tuple(out))
 
 
-def _contract(t, u) -> tuple:
-    """The thirteen values, in NAMES order, from the expanded D and u."""
+def _bvw(t, u):
+    """B_kl = D_ijk D_ijl, v_p = B_kl D_klp and w_k = D_ijk u_i u_j from the expanded D."""
     rng = range(3)
     b = [[sum(t[i][j][k] * t[i][j][l] for i in rng for j in rng) for l in rng]
          for k in rng]
     v = tuple(sum(b[k][l] * t[k][l][p] for k in rng for l in rng) for p in rng)
     w = tuple(sum(t[i][j][k] * u[i] * u[j] for i in rng for j in rng) for k in rng)
+    return b, v, w
+
+
+def _contract(t, u) -> tuple:
+    """The thirteen values, in NAMES order, from the expanded D and u."""
+    rng = range(3)
+    b, v, w = _bvw(t, u)
     bu = tuple(sum(b[k][l] * u[k] for k in rng) for l in rng)
     bv = tuple(sum(b[k][l] * v[k] for k in rng) for l in rng)
 

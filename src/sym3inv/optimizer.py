@@ -37,6 +37,11 @@ EIGEN_GAP_TOL = 1e-8
 ARMIJO_INIT = 0.5
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
+# accepted deviation of I2 and J2 from 1 in objective: loose enough for
+# points specified to 4 significant digits
+FEASIBILITY_TOL = 1e-3
+UNIT_NORM_TOL = 1e-6  # accepted |squared norm - 1| of a deviator in inner_solve_u
+SAMPLE_CHUNK = 100_000  # points per batch in sample_feasible_values; bounds its temporaries
 
 
 def _orthonormal_deviator_basis():
@@ -102,16 +107,15 @@ class FeasiblePoint:
         return max(abs(iv["I2"] - 1.0), abs(iv["J2"] - 1.0))
 
 
-def objective(p: FeasiblePoint, feas_tol: float = 1e-3) -> float:
+def objective(p: FeasiblePoint) -> float:
     """2*I2*J2 - 3*J4 at a feasible point, evaluated through the invariants.
 
-    feas_tol bounds the accepted deviation of I2 and J2 from 1; the default
-    is loose enough for points specified to 4 significant digits.
+    Raises ValueError when I2 or J2 is further than FEASIBILITY_TOL from 1.
     """
     iv = all_invariants(HarmonicParts(p.deviator, p.vector))
     defect = max(abs(iv["I2"] - 1.0), abs(iv["J2"] - 1.0))
-    if defect > feas_tol:
-        raise ValueError(f"infeasible point (defect {defect:.3e} > {feas_tol:.1e})")
+    if defect > FEASIBILITY_TOL:
+        raise ValueError(f"infeasible point (defect {defect:.3e} > {FEASIBILITY_TOL:.1e})")
     return 2.0 * iv["I2"] * iv["J2"] - 3.0 * iv["J4"]
 
 
@@ -131,7 +135,7 @@ def _evaluate(x):
     return 2.0 - 3.0 * eigenvalues[:, -1], grad, gap, w
 
 
-def inner_solve_u(d: Traceless3Tensor, tol: float = 1e-6):
+def inner_solve_u(d: Traceless3Tensor):
     """Optimal unit u for a unit-norm deviator, and the reduced objective.
 
     J4 = u^T M(D) u, so the best u is the top eigenvector of M(D) and the
@@ -139,7 +143,7 @@ def inner_solve_u(d: Traceless3Tensor, tol: float = 1e-6):
     """
     x = coords_from_deviator(d)
     norm2 = float(x @ x)
-    if abs(norm2 - 1.0) > tol:
+    if abs(norm2 - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"deviator norm^2 = {norm2:.6f}, expected 1")
     value, _, _, w = _evaluate(x[None, :])
     return tuple(w[0].tolist()), float(value[0])
@@ -235,13 +239,13 @@ def minimize(seed: int, starts: int, iters: int) -> MinimizeResult:
     return _result(descent, s, s)
 
 
-def refine_from(d: Traceless3Tensor, iters: int, seed: int = 0) -> MinimizeResult:
+def refine_from(d: Traceless3Tensor, iters: int) -> MinimizeResult:
     """Run the descent from a given deviator (renormalized to the sphere)."""
     x = _normalize(coords_from_deviator(d))[None, :]
-    return _result(_descend(x, iters, [random.Random(f"refine:{seed}")]), 0, -1)
+    return _result(_descend(x, iters, [random.Random("refine:0")]), 0, -1)
 
 
-def sample_feasible_values(seed: int, count: int, chunk: int = 100_000) -> np.ndarray:
+def sample_feasible_values(seed: int, count: int) -> np.ndarray:
     """Objective values at seeded random unit-norm (D, u) pairs, vectorized.
 
     Draws Gaussian deviator coordinates and vectors, normalizes both to the
@@ -252,7 +256,7 @@ def sample_feasible_values(seed: int, count: int, chunk: int = 100_000) -> np.nd
     out = np.empty(count)
     done = 0
     while done < count:
-        n = min(chunk, count - done)
+        n = min(SAMPLE_CHUNK, count - done)
         x = rng.standard_normal((n, 7))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         flat = (x @ _BASIS).reshape(n, 9, 3)

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from . import relations
 from .exact_algebra import RationalMatrix, nullspace, rank
+from .function_basis import ELEVEN_NAMES
 from .invariants import BIDEGREE, DEGREE, NAMES, all_invariants
 from .tensor_core import HarmonicParts, Traceless3Tensor
 
@@ -52,7 +53,7 @@ ELEVEN = "eleven"
 
 BASIS_NAMES = {
     THIRTEEN: NAMES,
-    ELEVEN: tuple(n for n in NAMES if n not in ("K6", "I8")),
+    ELEVEN: ELEVEN_NAMES,
 }
 
 DISCOVERY_BOUND = 9

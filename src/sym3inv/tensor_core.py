@@ -165,13 +165,13 @@ class Orthogonal3:
             + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0])
         )
 
-    def validate(self, tol=ORTHOGONALITY_TOL):
-        """Raise ValueError unless Q^T Q = I within tol (exactly for exact scalars)."""
+    def validate(self):
+        """Raise ValueError unless Q^T Q = I, within ORTHOGONALITY_TOL for floats."""
         defect = self.orthogonality_defect()
         if self.field == RATIONAL:
             if defect != 0:
                 raise ValueError("matrix is not exactly orthogonal")
-        elif defect > tol:
+        elif defect > ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal (defect {float(defect):.3e})")
 
 
@@ -213,32 +213,28 @@ def _sym_from_expanded(a):
     ))
 
 
+def _shift_trace_part(t, u, field, sign):
+    """Expanded t_ijk + sign * (1/5)(u_k d_ij + u_j d_ik + u_i d_jk).
+
+    decompose removes the trace part (sign -1), recompose restores it
+    (sign +1); t + (-x) equals t - x exactly in every scalar field.
+    """
+    fifth = sign * (0.2 if field == FLOAT else Fraction(1, 5))
+    rng = range(3)
+    return [[[t[i][j][k] + fifth * (u[k] * (i == j) + u[j] * (i == k) + u[i] * (j == k))
+              for k in rng] for j in rng] for i in rng]
+
+
 def decompose(a: Sym3Tensor) -> HarmonicParts:
     """Harmonic decomposition A -> (D, u) with u_i = A_ill."""
     t = expand(a)
     u = tuple(sum(t[i][l][l] for l in range(3)) for i in range(3))
-    fifth = 0.2 if a.field == FLOAT else Fraction(1, 5)
-    dev = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                corr = u[k] * (i == j) + u[j] * (i == k) + u[i] * (j == k)
-                dev[i][j][k] = t[i][j][k] - fifth * corr
-    return HarmonicParts(_traceless_from_expanded(dev), u)
+    return HarmonicParts(_traceless_from_expanded(_shift_trace_part(t, u, a.field, -1)), u)
 
 
 def recompose(h: HarmonicParts) -> Sym3Tensor:
     """Inverse of decompose: A_ijk = D_ijk + (1/5)(u_k d_ij + u_j d_ik + u_i d_jk)."""
-    d = expand(h.deviator)
-    u = h.vector
-    fifth = 0.2 if h.field == FLOAT else Fraction(1, 5)
-    full = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                corr = u[k] * (i == j) + u[j] * (i == k) + u[i] * (j == k)
-                full[i][j][k] = d[i][j][k] + fifth * corr
-    return _sym_from_expanded(full)
+    return _sym_from_expanded(_shift_trace_part(expand(h.deviator), h.vector, h.field, 1))
 
 
 def rotate(t, q: Orthogonal3):
@@ -285,16 +281,6 @@ def random_sym3(seed: int, field: str = RATIONAL, bound: int = 9) -> Sym3Tensor:
     else:
         raise ValueError(f"unknown field {field!r}")
     return Sym3Tensor(comps)
-
-
-def random_traceless(seed: int, field: str = RATIONAL, bound: int = 9) -> Traceless3Tensor:
-    """Seeded random deviator: 7 independent components uniform in [-bound, bound]."""
-    rng = random.Random(seed)
-    if field == RATIONAL:
-        comps = tuple(rng.randint(-bound, bound) for _ in range(7))
-    else:
-        comps = tuple(rng.uniform(-bound, bound) for _ in range(7))
-    return Traceless3Tensor(comps)
 
 
 def random_orthogonal(seed: int, det_sign: int = 1) -> Orthogonal3:
@@ -369,6 +355,7 @@ def parse_rational(s: str) -> Fraction:
 
 
 def format_rational(x) -> str:
+    """The 'p/q' string of an exact scalar, q > 0 in lowest terms."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 

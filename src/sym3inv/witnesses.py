@@ -27,6 +27,7 @@ from .tensor_core import (
     HarmonicParts,
     Sym3Tensor,
     Traceless3Tensor,
+    format_rational,
     parse_rational,
     recompose,
 )
@@ -67,13 +68,33 @@ def j4_tensor(theta: float) -> Sym3Tensor:
     ))
 
 
+def witness_instance_tensor(case: str, theta=None, params=None) -> Sym3Tensor:
+    """The tensor a witness case evaluates.
+
+    J4 at theta (required), M6 at params (default: the first recorded
+    instance), any other case its fixture tensor.
+    """
+    if case == "J4":
+        return j4_tensor(theta)
+    if case == "M6":
+        if params is None:
+            params = _instance_params(load_fixture("M6")["instances"][0])
+        return recompose(m6_harmonic_parts(*params))
+    return witness_tensor(case)
+
+
+def _instance_params(instance: dict) -> tuple:
+    """(a, b, c, d) of a recorded M6 instance: its float param_values, else its params."""
+    raw = instance.get("param_values") or {
+        k: parse_rational(v) for k, v in instance["params"].items()
+    }
+    return tuple(raw[k] for k in "abcd")
+
+
 def _jsonable(value):
     """Exact scalars become 'p/q' strings; floats stay JSON numbers."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (Fraction, int)):
-        f = Fraction(value)
-        return f"{f.numerator}/{f.denominator}"
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return format_rational(value)
     return value
 
 
@@ -99,12 +120,12 @@ def _compare(computed, expected, check: dict, is_zero: bool):
 
 
 def _run_value_checks(iv, expected: dict, zeros, check: dict, exact: bool):
+    zero = Fraction(0) if exact else 0.0
+    targets = [(name, _expected_value(raw, exact), False) for name, raw in expected.items()]
+    targets += [(name, zero, True) for name in zeros]
     checks = []
-    ok_all = True
-    for name, raw in expected.items():
-        expect = _expected_value(raw, exact)
-        ok, err = _compare(iv[name], expect, check, is_zero=False)
-        ok_all &= ok
+    for name, expect, is_zero in targets:
+        ok, err = _compare(iv[name], expect, check, is_zero)
         checks.append({
             "invariant": name,
             "expected": _jsonable(expect),
@@ -112,18 +133,7 @@ def _run_value_checks(iv, expected: dict, zeros, check: dict, exact: bool):
             "error": _jsonable(err),
             "ok": ok,
         })
-    zero = Fraction(0) if exact else 0.0
-    for name in zeros:
-        ok, err = _compare(iv[name], zero, check, is_zero=True)
-        ok_all &= ok
-        checks.append({
-            "invariant": name,
-            "expected": _jsonable(zero),
-            "computed": _jsonable(iv[name]),
-            "error": _jsonable(err),
-            "ok": ok,
-        })
-    return checks, ok_all
+    return checks, all(c["ok"] for c in checks)
 
 
 def _check_static_case(case: str) -> dict:
@@ -143,17 +153,13 @@ def _check_static_case(case: str) -> dict:
     return report
 
 
-def _check_m6_instance(fix_instance: dict, params=None) -> dict:
-    if params is None:
-        raw = fix_instance.get("param_values") or {
-            k: parse_rational(v) for k, v in fix_instance["params"].items()
-        }
-        params = (raw["a"], raw["b"], raw["c"], raw["d"])
+def _check_m6_instance(instance: dict) -> dict:
+    params = _instance_params(instance)
     h = m6_harmonic_parts(*params)
     iv = all_invariants(h)
-    exact = fix_instance["check"]["kind"] == "exact"
+    exact = instance["check"]["kind"] == "exact"
     checks, ok = _run_value_checks(
-        iv, fix_instance["expected"], fix_instance["zeros"], fix_instance["check"], exact
+        iv, instance["expected"], instance["zeros"], instance["check"], exact
     )
     return {
         "params": {k: _jsonable(v) for k, v in zip("abcd", params)},
@@ -164,53 +170,31 @@ def _check_m6_instance(fix_instance: dict, params=None) -> dict:
     }
 
 
-def _match_fixture_instance(fix: dict, params) -> dict | None:
-    for inst in fix["instances"]:
-        vals = inst.get("param_values") or {
-            k: parse_rational(v) for k, v in inst["params"].items()
-        }
-        ref = (vals["a"], vals["b"], vals["c"], vals["d"])
-        if all(abs(float(p) - float(r)) <= 1e-12 for p, r in zip(params, ref)):
-            return inst
-    return None
+def _check_m6_family_member(fix: dict, params) -> dict:
+    """Only the parameter-independent zeros, for parameters no instance records."""
+    iv = all_invariants(m6_harmonic_parts(*params))
+    exact = all(not isinstance(p, float) for p in params)
+    check = {"kind": "exact"} if exact else {"kind": "abs", "tolerance": 1e-9}
+    checks, ok = _run_value_checks(iv, {}, fix["family_zeros"], check, exact)
+    return {
+        "params": {k: _jsonable(v) for k, v in zip("abcd", params)},
+        "invariants": {n: _jsonable(iv[n]) for n in NAMES},
+        "checks": checks,
+        "pass": ok,
+    }
 
 
 def _check_m6_case(params=None) -> dict:
     fix = load_fixture("M6")
-    if params is not None:
+    if params is None:
+        instances = [_check_m6_instance(inst) for inst in fix["instances"]]
+    else:
         # explicit parameters matching a recorded instance get its full checks
-        matched = _match_fixture_instance(fix, params)
-        if matched is not None:
-            inst = _check_m6_instance(matched)
-            return {"case": "M6", "role": fix["role"], "instances": [inst],
-                    "pass": inst["pass"]}
-        # other family members: only the parameter-independent zeros are checked
-        h = m6_harmonic_parts(*params)
-        iv = all_invariants(h)
-        exact = all(not isinstance(p, float) for p in params)
-        check = {"kind": "exact"} if exact else {"kind": "abs", "tolerance": 1e-9}
-        zero = Fraction(0) if exact else 0.0
-        checks = []
-        ok = True
-        for name in fix["family_zeros"]:
-            good, err = _compare(iv[name], zero, check, is_zero=True)
-            ok &= good
-            checks.append({
-                "invariant": name, "expected": _jsonable(zero),
-                "computed": _jsonable(iv[name]), "error": _jsonable(err), "ok": good,
-            })
-        return {
-            "case": "M6",
-            "role": fix["role"],
-            "instances": [{
-                "params": {k: _jsonable(v) for k, v in zip("abcd", params)},
-                "invariants": {n: _jsonable(iv[n]) for n in NAMES},
-                "checks": checks,
-                "pass": ok,
-            }],
-            "pass": ok,
-        }
-    instances = [_check_m6_instance(inst) for inst in fix["instances"]]
+        matched = [inst for inst in fix["instances"]
+                   if all(abs(float(p) - float(r)) <= 1e-12
+                          for p, r in zip(params, _instance_params(inst)))]
+        instances = [_check_m6_instance(matched[0]) if matched
+                     else _check_m6_family_member(fix, params)]
     return {
         "case": "M6",
         "role": fix["role"],

@@ -95,6 +95,13 @@ def test_non_finite_float_file_exit_code(capsys, tmp_path, literal):
 @pytest.mark.parametrize("argv", [
     ("discover", "--basis", "13", "--degree", "10", "--seed", "1", "--samples", "10"),
     ("prop31", "--starts", "0", "--iters", "5", "--seed", "1"),
+    ("witness", "--case", "M6", "--params", "nan", "0", "0", "1"),
+    ("witness", "--case", "J4", "--theta", "nan"),
+    ("witness", "--case", "J4", "--theta", "inf"),
+    ("isotropy-check", "--samples", "3", "--seed", "1", "--tol", "nan"),
+    ("isotropy-check", "--samples", "0", "--seed", "1"),
+    ("isotropy-check", "--samples", "-5", "--seed", "1"),
+    ("verify-syzygies", "--samples", "0", "--seed", "1"),
 ])
 def test_rejected_argument_usage_error(capsys, argv):
     code, report, err = run_cli(capsys, *argv)

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from sym3inv import (
     ELEVEN_NAMES,
     ElevenBasis,
@@ -32,6 +34,10 @@ def reconstruct_pair(h):
 
 def test_eleven_names():
     assert ELEVEN_NAMES == ("I2", "J2", "I4", "J4", "K4", "L4", "I6", "J6", "L6", "M6", "I10")
+    b = ElevenBasis(tuple(range(11)))
+    assert [b[name] for name in ELEVEN_NAMES] == list(range(11))
+    with pytest.raises(ValueError):
+        b["K6"]
 
 
 def test_zero_vector_branch():

@@ -28,9 +28,9 @@ from sym3inv import (
     reference_invariants,
     rotate,
     deviator_invariants,
-    v_vector,
-    w_vector,
+    expand,
 )
+from sym3inv.invariants import _bvw
 
 F = Fraction
 
@@ -80,6 +80,14 @@ def test_invariant_vector_lookup_by_name():
 
 
 # ---- auxiliary vectors ----
+
+def v_vector(d):
+    return _bvw(expand(d), (0, 0, 0))[1]
+
+
+def w_vector(d, u):
+    return _bvw(expand(d), u)[2]
+
 
 def test_v_vector_zero():
     assert v_vector(Traceless3Tensor.zero()) == (0, 0, 0)
