@@ -56,7 +56,7 @@ EXIT_CODE_HELP = """exit codes:
   0  run completed and every check passed
   1  run completed but at least one check failed
   2  usage error (unknown subcommand or bad arguments)
-  3  malformed tensor file
+  3  malformed tensor file, or a float tensor whose results overflow
   4  field mismatch (exact-only operation on float input)
 """
 
@@ -348,7 +348,12 @@ def main(argv=None) -> int:
         "pass": bool(passed),
         "wall_time_seconds": round(elapsed, 6),
     }
-    print(json.dumps(report, indent=2))
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:  # a float result overflowed to inf or nan
+        print("error: a result is not finite: the float tensor overflows", file=sys.stderr)
+        return EXIT_BAD_FILE
+    print(text)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -1,49 +1,47 @@
-"""Exact rational linear algebra: rank and nullspace over arbitrary precision.
+"""Exact rational linear algebra: rank and nullspace, computed modulo primes.
 
-Elimination is fraction-free (Bareiss): rows are first scaled to integers,
-then each step applies m[i][c] <- (piv*m[i][c] - f*pivrow[c]) / prev_piv,
-where the division is exact.  Intermediate entries are minors of the input,
-which bounds their growth; all arithmetic is arbitrary precision, so results
-are exact for any input size.  Pivoting scans columns left to right and
-takes the first remaining row with a nonzero entry, so the computation is
-deterministic.
+``nullspace`` returns the reduced echelon basis of the kernel over Q, but
+eliminates only modulo word-size primes and then proves the result exact
+(the multi-modular method: von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 5; rational reconstruction after Wang):
 
-``nullspace`` eliminates only rows it has chosen, and certifies the result
-on all of them.  One vectorised elimination modulo the prime 2^31 - 1 picks
-rows that are independent mod p, hence independent over Q; Bareiss then
-runs on those rows alone, and every kernel vector is checked with exact
-integer dot products against every row of the matrix.  A row that fails
-the check is independent of the chosen ones over Q (an unlucky prime made
-the mod-p rank fall short), so it is added and the elimination repeated;
-the rank grows with each repeat, so at most ``cols`` rounds are needed.
-Once the check passes, the chosen rows have the kernel of the whole matrix,
-hence its row space and its reduced echelon form, so the pivot columns and
-the normalized basis are exactly those of elimination over all rows (Dixon,
-Numer. Math. 40, 1982; von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 5).  For tall matrices, such as evaluation matrices sampled at many
-more points than they have columns, this eliminates rank-many rows instead
-of all of them, and the entries stay minors of that smaller system.
+1. Rows are scaled to integers; row scaling leaves the kernel alone.
+2. One vectorised elimination modulo the prime 2^31 - 1 picks rows that are
+   independent mod p, hence independent over Q.  For a tall matrix, such as
+   an evaluation matrix sampled at many more points than it has columns,
+   that is rank-many rows instead of all of them.
+3. The chosen rows are brought to reduced row echelon form modulo primes
+   2^31 - 1 = p0 > p1 > ..., in numpy int64 (a product of two residues stays
+   below 2^62).  Each prime gives pivot columns and, for each free column f,
+   the kernel vector with x_f = 1 and zeros at the other free columns.  A
+   prime whose pivots differ from the best seen (the most pivots, then the
+   leftmost) is unlucky and left out; the others are combined by Chinese
+   remaindering, and each entry is rationally reconstructed.
+4. Each vector, scaled to coprime integers, is checked with exact integer
+   dot products against every row of the matrix, the chosen rows first.  An
+   entry that does not reconstruct, or a chosen row that fails, asks for
+   one more prime.  Any other row that fails is independent of the chosen
+   rows over Q, so it joins them.
 
-gmpy2 integers are used inside the elimination when available (identical
-results, considerably faster on large problems); plain Python ints are the
-fallback.
+Why a certified basis is exact: the vectors lie in the kernel over Q, are
+independent, and number cols - rank_p, while rank_p <= rank over Q.  So
+they span the kernel.  Vector f is supported on f and on pivot columns left
+of f, so column f depends on the columns before it and is free over Q too:
+the free columns are those of exact elimination over all rows, and the
+basis is the unique one with x_f = 1 and zeros at the other free columns,
+the basis that elimination gives.  Each round adds a row or a prime, and
+enough primes reconstruct any rational entry, so the loop ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
+from operator import mul
 
 import numpy as np
-
-try:
-    from gmpy2 import divexact as _divexact, mpz as _mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpz = int
-
-    def _divexact(a, b):
-        return a // b
 
 
 @dataclass(frozen=True)
@@ -78,105 +76,126 @@ class RationalMatrix:
         return tuple(sum(a * b for a, b in zip(row, x)) for row in self.entries)
 
 
-# Row selection works modulo this prime (2^31 - 1): products of two residues
-# stay below 2^62, inside numpy int64.
+# The first prime of the sequence, and the one rows are selected by.
 _PRIME = 2 ** 31 - 1
+
+
+@lru_cache(maxsize=None)
+def _prime(k: int) -> int:
+    """The k-th prime of the sequence that descends from _PRIME (trial division)."""
+    n = _PRIME if k == 0 else _prime(k - 1) - 2
+    while any(n % d == 0 for d in range(3, isqrt(n) + 1, 2)):
+        n -= 2
+    return n
 
 
 def _integer_rows(m: RationalMatrix):
     """Clear denominators row by row (row scaling leaves rank and nullspace alone)."""
     out = []
     for row in m.entries:
-        scale = 1
-        for e in row:
-            if isinstance(e, Fraction):
-                scale = lcm(scale, e.denominator)
-        if scale == 1:
-            out.append([_mpz(int(e)) for e in row])
-        else:
-            out.append([_mpz(int(e * scale)) for e in row])
+        scale = lcm(*(e.denominator for e in row))
+        out.append([int(e * scale) for e in row] if scale > 1 else list(map(int, row)))
     return out
 
 
-def _echelon(a, ncols):
-    """Fraction-free row echelon form of a list of integer rows (may be empty).
+def _residues(rows, p, ncols):
+    """The integer rows modulo p, as an int64 array with ncols columns."""
+    return np.array([[x % p for x in row] for row in rows],
+                    dtype=np.int64).reshape(len(rows), ncols)
 
-    Works on the list in place; returns (rows, pivot column list).
+
+def _eliminate(res, p):
+    """Reduce the residue matrix ``res`` (int64, entries in [0, p)) in place.
+
+    Gauss-Jordan elimination over GF(p) without row swaps, one vectorised
+    step per column: the pivot of column c is the first row not yet used
+    with a nonzero entry there; it is scaled to 1 and eliminated from every
+    other row.  Returns the pivot rows and the pivot columns, in column
+    order.  The pivot rows are independent mod p, hence over Q, and
+    ``res[pivot rows]`` is the reduced row echelon form of ``res``.
     """
-    nrows = len(a)
-    pivot_cols = []
-    prev = _mpz(1)
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][c]
-        top = a[r]
-        for i in range(r + 1, nrows):
-            f = a[i][c]
-            if f:
-                a[i] = [_divexact(piv * x - f * y, prev) for x, y in zip(a[i], top)]
-            else:
-                a[i] = [_divexact(piv * x, prev) for x in a[i]]
-        prev = piv
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivot_cols
-
-
-def _independent_rows(a):
-    """Indices of rows of integer matrix ``a`` that are independent mod _PRIME.
-
-    Gaussian elimination over GF(p), one vectorised step per column: the
-    pivot is the first not-yet-chosen row with a nonzero residue, and it is
-    eliminated from the rows not yet chosen.  Rows independent mod p are
-    independent over Q, so the result has at most rank(a) rows.
-    """
-    res = np.array([[int(x % _PRIME) for x in row] for row in a], dtype=np.int64)
-    free = np.ones(len(a), dtype=bool)
-    chosen = []
+    unused = np.ones(len(res), dtype=bool)
+    rows, cols = [], []
     for c in range(res.shape[1]):
-        candidates = np.flatnonzero(free & (res[:, c] != 0))
+        candidates = np.flatnonzero(unused & (res[:, c] != 0))
         if not candidates.size:
             continue
-        i = candidates[0]
-        free[i] = False
-        chosen.append(int(i))
-        rest = np.flatnonzero(free)
-        f = res[rest, c] * pow(int(res[i, c]), -1, _PRIME) % _PRIME
-        res[rest] = (res[rest] - f[:, None] * res[i] % _PRIME) % _PRIME
-    return chosen
+        i = int(candidates[0])
+        unused[i] = False
+        res[i, c:] = res[i, c:] * pow(int(res[i, c]), -1, p) % p
+        f = res[:, c].copy()
+        f[i] = 0
+        # row i is zero left of column c, so those columns need no update
+        res[:, c:] = (res[:, c:] - f[:, None] * res[i, c:] % p) % p
+        rows.append(i)
+        cols.append(c)
+    return rows, cols
 
 
-def _kernel_basis(a, pivot_cols, ncols):
-    """Normalized kernel vectors of echelon rows ``a``, one per free column."""
-    pivots = set(pivot_cols)
+def _kernel_mod(rows, p, ncols):
+    """Pivot columns and kernel of integer ``rows`` modulo the prime ``p``.
+
+    Returns (p, pivot columns, K) where K[i][j] is entry pivots[i] of the
+    kernel vector of free column j: -R[i][free j], R the reduced row echelon
+    form mod p.
+    """
+    res = _residues(rows, p, ncols)
+    pivot_rows, pivots = _eliminate(res, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    return p, pivots, -res[pivot_rows][:, free] % p
+
+
+def _crt(images):
+    """Combine (prime, residue matrix) pairs into (modulus, matrix of Python ints)."""
+    m, x = 1, 0
+    for p, k in images:
+        x = x + m * ((k.astype(object) - x) * pow(m, -1, p) % p)
+        m *= p
+    return m, x
+
+
+def _rational(u, m):
+    """The fraction n/d = u mod m with |n|, d <= sqrt(m/2), or None (Wang)."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _kernel_vectors(pivots, ncols, m, entries):
+    """Normalized kernel vectors from CRT-combined entries, or None if one fails."""
     basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        # echelon rows are integer; back-substitute over the pivot columns
-        for row_idx in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[row_idx]
-            row = a[row_idx]
-            s = Fraction(0)
-            for c in range(pc + 1, ncols):
-                if x[c]:
-                    s += Fraction(int(row[c])) * x[c]
-            x[pc] = -s / int(row[pc])
+    free = [c for c in range(ncols) if c not in pivots]
+    for j, fc in enumerate(free):
+        x = [0] * ncols
+        x[fc] = 1
+        for i, pc in enumerate(pivots):
+            x[pc] = _rational(entries[i, j], m)
+            if x[pc] is None:
+                return None
         basis.append(normalize_integer_vector(x))
     return basis
 
 
+def _failing_row(a, basis, chosen):
+    """First row of ``a`` with a nonzero exact product with a basis vector.
+
+    The chosen rows are checked first; None when every row passes.
+    """
+    picked = set(chosen)
+    order = chosen + [i for i in range(len(a)) if i not in picked]
+    return next((i for i in order for vec in basis if sum(map(mul, a[i], vec))), None)
+
+
 def rank(m: RationalMatrix) -> int:
-    """Exact rank via fraction-free elimination."""
-    _, pivot_cols = _echelon(_integer_rows(m), m.cols)
-    return len(pivot_cols)
+    """Exact rank: columns minus nullity, of m or of its transpose if that is taller."""
+    if m.rows < m.cols:
+        m = RationalMatrix(tuple(zip(*m.entries)))
+    return m.cols - len(nullspace(m))
 
 
 def normalize_integer_vector(vec):
@@ -202,17 +221,22 @@ def nullspace(m: RationalMatrix):
 
     Vectors are ordered by their free column index; each satisfies m x = 0
     exactly and the basis size is cols - rank(m).  Empty list for a trivial
-    nullspace.  Only independent rows are eliminated; the basis is then
-    checked exactly against every row (see the module notes).
+    nullspace.  Elimination runs modulo primes on independent rows only; the
+    basis is then checked exactly against every row (see the module notes).
     """
     a = _integer_rows(m)
     ncols = m.cols
-    chosen = _independent_rows(a)
+    chosen = sorted(_eliminate(_residues(a, _PRIME, ncols), _PRIME)[0])
+    images = [_kernel_mod([a[i] for i in chosen], _prime(0), ncols)]
     while True:
-        echelon, pivot_cols = _echelon([a[i] for i in sorted(chosen)], ncols)
-        basis = _kernel_basis(echelon, pivot_cols, ncols)
-        failing = next((i for vec in basis for i, row in enumerate(a)
-                        if sum(x * y for x, y in zip(row, vec))), None)
-        if failing is None:
+        pivots = min((piv for _, piv, _ in images), key=lambda piv: (-len(piv), piv))
+        basis = _kernel_vectors(pivots, ncols,
+                                *_crt((p, k) for p, piv, k in images if piv == pivots))
+        failing = None if basis is None else _failing_row(a, basis, chosen)
+        if basis is not None and failing is None:
             return basis
-        chosen.append(failing)
+        if basis is None or failing in chosen:
+            images.append(_kernel_mod([a[i] for i in chosen], _prime(len(images)), ncols))
+        else:
+            chosen = sorted(chosen + [failing])
+            images = [_kernel_mod([a[i] for i in chosen], p, ncols) for p, _, _ in images]

@@ -23,17 +23,19 @@ per sector; the union spans exactly the relations at that degree, at a small
 fraction of the cost of eliminating the full matrix.
 
 Each sector has many more sample rows than product columns.  ``nullspace``
-picks a set of independent rows modulo a prime, eliminates exactly on those
-alone, and certifies every kernel vector with exact integer dot products
-against every sample row, adding any failing row and eliminating again; the
+picks rank-many independent rows modulo a prime, takes their reduced
+echelon form modulo word-size primes, rebuilds the rational kernel by
+Chinese remaindering and rational reconstruction, and certifies every
+kernel vector with exact integer dot products against every sample row,
+adding a failing row or another prime until the certificate holds.  The
 kernel it returns is therefore the kernel of the whole sector matrix, the
-same vectors full elimination gives (see ``exact_algebra``).  The
+same vectors exact elimination gives (see ``exact_algebra``).  The
 Schwartz-Zippel re-verification below is independent of that certificate:
 it tests each candidate at fresh points from a much larger box.
 
-Sampling boxes: discovery points use integer entries in [-9, 9] to keep
-elimination intermediates modest; re-verification points use [-1e6, 1e6] to
-drive the Schwartz-Zippel bound.
+Sampling boxes: discovery points use integer entries in [-9, 9] to keep the
+matrix entries, and with them the certificate's exact products, small;
+re-verification points use [-1e6, 1e6] to drive the Schwartz-Zippel bound.
 """
 
 from __future__ import annotations

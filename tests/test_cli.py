@@ -92,6 +92,19 @@ def test_non_finite_float_file_exit_code(capsys, tmp_path, literal):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("command", ["invariants", "reconstruct"])
+def test_overflowing_float_file_exit_code(capsys, tmp_path, command):
+    # finite components whose invariants overflow: no Infinity/NaN report
+    big = tmp_path / "big.json"
+    big.write_text('{"format": "sym3-v1", "field": "float", "components": '
+                   '[1e200, 0, 0, 0, 0, 0, 0, 0, 0, 0]}')
+    code, report, err = run_cli(capsys, command, str(big))
+    assert code == EXIT_BAD_FILE
+    assert report is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("discover", "--basis", "13", "--degree", "10", "--seed", "1", "--samples", "10"),
     ("prop31", "--starts", "0", "--iters", "5", "--seed", "1"),

@@ -1,4 +1,4 @@
-"""Exact rank and nullspace via fraction-free elimination."""
+"""Exact rank and nullspace: modular elimination, certified exactly on every row."""
 
 import random
 from fractions import Fraction
@@ -134,64 +134,135 @@ def test_ragged_and_empty_rejected():
         RationalMatrix([[0.5, 1.0]])
 
 
-def test_pure_python_int_fallback_matches(monkeypatch):
-    # without gmpy2 the elimination runs on plain ints; results are identical
-    import sym3inv.exact_algebra as ea
-
+def test_pure_python_int_fallback_matches():
+    # every path runs on plain Python ints; rank and kernel equal the
+    # Fraction reference
     rng = random.Random(314)
     m = random_rank_r_matrix(rng, 12, 15, 6)
-    want_rank = rank(m)
-    want_null = nullspace(m)
-    monkeypatch.setattr(ea, "_mpz", int)
-    monkeypatch.setattr(ea, "_divexact", lambda a, b: a // b)
-    assert rank(m) == want_rank
+    want_null = reference_nullspace(m)
+    assert rank(m) == 15 - len(want_null) == 6
     assert nullspace(m) == want_null
 
 
-def full_elimination_nullspace(m):
-    """Reference: Bareiss over every row of m, then back-substitution."""
+def reference_nullspace(m):
+    """Reference: Gauss-Jordan over Fraction on every row of m.
+
+    One kernel vector per free column f, with x_f = 1 and zeros at the other
+    free columns, normalized like nullspace's.
+    """
+    a = [[F(e) for e in row] for row in m.entries]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][c]:
+                f = a[k][c]
+                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        x = [F(0)] * m.cols
+        x[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -a[r][fc]
+        basis.append(normalize_integer_vector(x))
+    return basis
+
+
+def record_reductions(monkeypatch):
+    """(row count, prime) of every modular reduction nullspace runs."""
     import sym3inv.exact_algebra as ea
 
-    a, pivot_cols = ea._echelon(ea._integer_rows(m), m.cols)
-    return ea._kernel_basis(a, pivot_cols, m.cols)
+    calls = []
+    original = ea._kernel_mod
+
+    def counting(rows, p, ncols):
+        calls.append((len(rows), p))
+        return original(rows, p, ncols)
+
+    monkeypatch.setattr(ea, "_kernel_mod", counting)
+    return calls
 
 
-def record_eliminations(monkeypatch):
-    """Row count of every Bareiss elimination nullspace runs."""
-    import sym3inv.exact_algebra as ea
+def test_reference_nullspace_by_inspection():
+    assert reference_nullspace(RationalMatrix([[1, 2], [2, 4]])) == [(2, -1)]
+    assert reference_nullspace(RationalMatrix([[0, 1, 1], [0, 0, 0]])) == [(1, 0, 0), (0, 1, -1)]
+    assert reference_nullspace(RationalMatrix.identity(3)) == []
 
-    counts = []
-    original = ea._echelon
 
-    def counting(a, ncols):
-        counts.append(len(a))
-        return original(a, ncols)
+def test_prime_sequence_descends_from_the_mersenne_prime():
+    from sym3inv.exact_algebra import _PRIME, _prime
 
-    monkeypatch.setattr(ea, "_echelon", counting)
-    return counts
+    primes = [_prime(k) for k in range(6)]
+    assert primes[0] == _PRIME == 2 ** 31 - 1
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == 6
+    # the odd numbers between consecutive primes are composite
+    for hi, lo in zip(primes, primes[1:]):
+        for n in range(lo + 2, hi, 2):
+            assert any(n % d == 0 for d in range(3, 50_000, 2))
 
 
 def test_unlucky_prime_forces_certified_retry(monkeypatch):
     # every entry of the first row is a multiple of p, so the mod-p pass
     # misses it; the certificate must catch the kernel vector (1, 0)
-    from sym3inv.exact_algebra import _PRIME as p
+    from sym3inv.exact_algebra import _prime
 
-    counts = record_eliminations(monkeypatch)
+    p = _prime(0)
+    calls = record_reductions(monkeypatch)
     assert nullspace(RationalMatrix([[p, 0], [0, 1], [0, 2], [0, 3]])) == []
-    assert counts == [1, 2]
+    # (1, 0) passes the chosen row but fails row 0, which joins; it then
+    # fails that chosen row mod p, so a second prime settles the rank
+    assert calls == [(1, p), (2, p), (2, _prime(1))]
 
-    counts.clear()
+    calls.clear()
     m = RationalMatrix([[p, 2 * p, 0], [0, 0, 1], [3 * p, 1, 0], [0, 0, 5]])
-    assert nullspace(m) == full_elimination_nullspace(m) == []
-    assert counts[:2] == [2, 3]
+    assert nullspace(m) == reference_nullspace(m) == []
+    assert [n for n, _ in calls][:2] == [2, 2]
+    assert calls[-1][0] == 3
+
+
+def test_entries_divisible_by_the_first_two_primes():
+    # modulo the first two primes these matrices lose rank (to zero, or in
+    # every other column); the pivot comparison must drop those primes and
+    # the result equal the reference
+    from sym3inv.exact_algebra import _prime
+
+    q = _prime(0) * _prime(1)
+    rng = random.Random(61)
+    base = random_rank_r_matrix(rng, 9, 7, 4)
+    uniform = RationalMatrix([[e * q for e in row] for row in base.entries])
+    assert nullspace(uniform) == reference_nullspace(uniform) == nullspace(base)
+    odd_columns = RationalMatrix([[e * q if k % 2 else e for k, e in enumerate(row)]
+                                  for row in base.entries])
+    assert nullspace(odd_columns) == reference_nullspace(odd_columns)
+    assert rank(uniform) == rank(odd_columns) == 4
+
+
+def test_large_kernel_entry_needs_several_primes(monkeypatch):
+    # the reduced kernel vector is (10^-40, 1): its denominator needs a
+    # modulus above 2 * 10^80, so Chinese remaindering over several primes
+    calls = record_reductions(monkeypatch)
+    m = RationalMatrix([[10 ** 40, -1], [2 * 10 ** 40, -2]])
+    assert nullspace(m) == reference_nullspace(m) == [(1, 10 ** 40)]
+    assert len({p for _, p in calls}) >= 9
 
 
 def test_selected_rows_equal_rank_without_retry(monkeypatch):
+    from sym3inv.exact_algebra import _prime
+
     rng = random.Random(51)
     m = random_rank_r_matrix(rng, 60, 12, 7)
-    counts = record_eliminations(monkeypatch)
+    calls = record_reductions(monkeypatch)
     basis = nullspace(m)
-    assert counts == [7]
+    # rank-many rows, never a row added; the kernel entries have up to 19
+    # bits, past the 15-bit bound one prime reconstructs, so two primes
+    assert max(v.bit_length() for vec in basis for v in vec) == 19
+    assert calls == [(7, _prime(0)), (7, _prime(1))]
     assert len(basis) == 12 - 7
 
 
@@ -211,4 +282,7 @@ def test_certified_nullspace_equals_full_elimination():
             entries = [[e * 10 ** 40 + (e if k % 3 else 0) for k, e in enumerate(row)]
                        for row in entries]
         m = RationalMatrix(entries)
-        assert nullspace(m) == full_elimination_nullspace(m)
+        want = reference_nullspace(m)
+        assert nullspace(m) == want
+        assert rank(m) == cols - len(want)
+        assert rank(RationalMatrix(tuple(zip(*entries)))) == cols - len(want)

@@ -20,12 +20,14 @@ from sym3inv import (
     in_span,
     verify_relation,
 )
+from sym3inv.exact_algebra import RationalMatrix, rank
 from sym3inv.syzygy import (
     BASIS_NAMES,
     ELEVEN,
     THIRTEEN,
     coefficient_vector,
     random_harmonic_parts,
+    relation_from_table,
     symbolic_invariant_polynomials,
     symbolic_relation_vectors,
 )
@@ -261,6 +263,31 @@ def test_discovery_reproduces_builtins_coefficient_for_coefficient():
                for r in discover_relations(ELEVEN, 16, seed=2024, sample_count=446)}
     for name in ("sixteen_a", "sixteen_b", "sixteen_c"):
         assert _normalized_vector(rels[name], t16) in found16
+
+
+def _times(rel, name):
+    """The relation multiplied by the invariant ``name``."""
+    table = {}
+    for coeff, term in rel.terms:
+        exps = dict(term.exponents)
+        exps[name] = exps.get(name, 0) + 1
+        table[tuple(exps.items())] = coeff
+    return relation_from_table(table, rel.basis)
+
+
+def test_discovery_degree_18_over_the_eleven():
+    # 13 relations at degree 18; the six products of I2 and J2 with the three
+    # degree-16 relations are independent and lie in their span
+    terms = enumerate_products(ELEVEN, 18)
+    found = discover_relations(ELEVEN, 18, seed=1, sample_count=len(terms) + 10)
+    assert len(found) == 13
+    rels = builtin_relations()
+    products = [_times(rels[key], name) for key in ("sixteen_a", "sixteen_b", "sixteen_c")
+                for name in ("I2", "J2")]
+    assert all(r.degree == 18 for r in products)
+    assert rank(RationalMatrix([coefficient_vector(r, terms) for r in products])) == 6
+    for rel in products:
+        assert in_span(found, rel)
 
 
 # ---- symbolic guard (full expansion, degree <= 4) ----
