@@ -56,9 +56,12 @@ EXIT_CODE_HELP = """exit codes:
   0  run completed and every check passed
   1  run completed but at least one check failed
   2  usage error (unknown subcommand or bad arguments)
-  3  malformed tensor file, or a float tensor whose results overflow
+  3  malformed or unreadable tensor file, or results that overflow a float
   4  field mismatch (exact-only operation on float input)
 """
+
+
+NOT_FINITE = "error: a result is not finite: it overflows a float"
 
 
 class FieldMismatchError(ValueError):
@@ -238,13 +241,15 @@ def cmd_witness(args):
 
 
 def _check_arguments(args):
-    """Raise ValueError for a non-finite float argument or a --samples below 1."""
+    """Raise ValueError for a non-finite float, a --samples below 1 or a negative --tol."""
     for name, value in vars(args).items():
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, list) else [value])):
             raise ValueError(f"--{name} must be finite")
     if getattr(args, "samples", 1) < 1:
         raise ValueError("--samples must be >= 1")
+    if getattr(args, "tol", 0.0) < 0:
+        raise ValueError("--tol must be >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,8 +334,11 @@ def main(argv=None) -> int:
     except FieldMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIELD_MISMATCH
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that cannot be opened or read
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_FILE
+    except OverflowError:  # an exact result too large for a float
+        print(NOT_FINITE, file=sys.stderr)
         return EXIT_BAD_FILE
     except ValueError as exc:  # an argument the library rejects
         print(f"error: {exc}", file=sys.stderr)
@@ -351,7 +359,7 @@ def main(argv=None) -> int:
     try:
         text = json.dumps(report, indent=2, allow_nan=False)
     except ValueError:  # a float result overflowed to inf or nan
-        print("error: a result is not finite: the float tensor overflows", file=sys.stderr)
+        print(NOT_FINITE, file=sys.stderr)
         return EXIT_BAD_FILE
     print(text)
     return EXIT_OK if passed else EXIT_CHECK_FAILED

@@ -6,22 +6,16 @@ eliminates only modulo word-size primes and then proves the result exact
 Algebra, ch. 5; rational reconstruction after Wang):
 
 1. Rows are scaled to integers; row scaling leaves the kernel alone.
-2. One vectorised elimination modulo the prime 2^31 - 1 picks rows that are
-   independent mod p, hence independent over Q.  For a tall matrix, such as
-   an evaluation matrix sampled at many more points than it has columns,
-   that is rank-many rows instead of all of them.
-3. The chosen rows are brought to reduced row echelon form modulo primes
+2. All rows are brought to reduced row echelon form modulo primes
    2^31 - 1 = p0 > p1 > ..., in numpy int64 (a product of two residues stays
    below 2^62).  Each prime gives pivot columns and, for each free column f,
    the kernel vector with x_f = 1 and zeros at the other free columns.  A
    prime whose pivots differ from the best seen (the most pivots, then the
    leftmost) is unlucky and left out; the others are combined by Chinese
    remaindering, and each entry is rationally reconstructed.
-4. Each vector, scaled to coprime integers, is checked with exact integer
-   dot products against every row of the matrix, the chosen rows first.  An
-   entry that does not reconstruct, or a chosen row that fails, asks for
-   one more prime.  Any other row that fails is independent of the chosen
-   rows over Q, so it joins them.
+3. Each vector, scaled to coprime integers, is checked with exact integer
+   dot products against every row of the matrix.  An entry that does not
+   reconstruct, or a row that fails, asks for one more prime.
 
 Why a certified basis is exact: the vectors lie in the kernel over Q, are
 independent, and number cols - rank_p, while rank_p <= rank over Q.  So
@@ -29,8 +23,9 @@ they span the kernel.  Vector f is supported on f and on pivot columns left
 of f, so column f depends on the columns before it and is free over Q too:
 the free columns are those of exact elimination over all rows, and the
 basis is the unique one with x_f = 1 and zeros at the other free columns,
-the basis that elimination gives.  Each round adds a row or a prime, and
-enough primes reconstruct any rational entry, so the loop ends.
+the basis that elimination gives.  Each round adds a prime; all but finitely
+many primes are lucky, and enough of them reconstruct any rational entry,
+so the loop ends.
 """
 
 from __future__ import annotations
@@ -76,7 +71,7 @@ class RationalMatrix:
         return tuple(sum(a * b for a, b in zip(row, x)) for row in self.entries)
 
 
-# The first prime of the sequence, and the one rows are selected by.
+# The first prime of the sequence.
 _PRIME = 2 ** 31 - 1
 
 
@@ -96,12 +91,6 @@ def _integer_rows(m: RationalMatrix):
         scale = lcm(*(e.denominator for e in row))
         out.append([int(e * scale) for e in row] if scale > 1 else list(map(int, row)))
     return out
-
-
-def _residues(rows, p, ncols):
-    """The integer rows modulo p, as an int64 array with ncols columns."""
-    return np.array([[x % p for x in row] for row in rows],
-                    dtype=np.int64).reshape(len(rows), ncols)
 
 
 def _eliminate(res, p):
@@ -139,7 +128,7 @@ def _kernel_mod(rows, p, ncols):
     kernel vector of free column j: -R[i][free j], R the reduced row echelon
     form mod p.
     """
-    res = _residues(rows, p, ncols)
+    res = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
     pivot_rows, pivots = _eliminate(res, p)
     free = [c for c in range(ncols) if c not in pivots]
     return p, pivots, -res[pivot_rows][:, free] % p
@@ -181,16 +170,6 @@ def _kernel_vectors(pivots, ncols, m, entries):
     return basis
 
 
-def _failing_row(a, basis, chosen):
-    """First row of ``a`` with a nonzero exact product with a basis vector.
-
-    The chosen rows are checked first; None when every row passes.
-    """
-    picked = set(chosen)
-    order = chosen + [i for i in range(len(a)) if i not in picked]
-    return next((i for i in order for vec in basis if sum(map(mul, a[i], vec))), None)
-
-
 def rank(m: RationalMatrix) -> int:
     """Exact rank: columns minus nullity, of m or of its transpose if that is taller."""
     if m.rows < m.cols:
@@ -221,22 +200,17 @@ def nullspace(m: RationalMatrix):
 
     Vectors are ordered by their free column index; each satisfies m x = 0
     exactly and the basis size is cols - rank(m).  Empty list for a trivial
-    nullspace.  Elimination runs modulo primes on independent rows only; the
-    basis is then checked exactly against every row (see the module notes).
+    nullspace.  Elimination runs modulo primes; the basis is then checked
+    exactly against every row (see the module notes).
     """
     a = _integer_rows(m)
     ncols = m.cols
-    chosen = sorted(_eliminate(_residues(a, _PRIME, ncols), _PRIME)[0])
-    images = [_kernel_mod([a[i] for i in chosen], _prime(0), ncols)]
+    images = []
     while True:
+        images.append(_kernel_mod(a, _prime(len(images)), ncols))
         pivots = min((piv for _, piv, _ in images), key=lambda piv: (-len(piv), piv))
         basis = _kernel_vectors(pivots, ncols,
                                 *_crt((p, k) for p, piv, k in images if piv == pivots))
-        failing = None if basis is None else _failing_row(a, basis, chosen)
-        if basis is not None and failing is None:
+        if basis is not None and not any(sum(map(mul, row, vec))
+                                         for vec in basis for row in a):
             return basis
-        if basis is None or failing in chosen:
-            images.append(_kernel_mod([a[i] for i in chosen], _prime(len(images)), ncols))
-        else:
-            chosen = sorted(chosen + [failing])
-            images = [_kernel_mod([a[i] for i in chosen], p, ncols) for p, _, _ in images]

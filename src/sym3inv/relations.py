@@ -187,4 +187,3 @@ SIXTEEN_C = _table({
 
 DEGREE_TEN = {"ten_a": TEN_A, "ten_b": TEN_B}
 DEGREE_SIXTEEN = {"sixteen_a": SIXTEEN_A, "sixteen_b": SIXTEEN_B, "sixteen_c": SIXTEEN_C}
-ALL_TABLES = {**DEGREE_TEN, **DEGREE_SIXTEEN}

@@ -3,8 +3,8 @@
 ``enumerate_products`` lists every power product of basis invariants with a
 given weighted degree; ``verify_relation`` evaluates a relation exactly at a
 rational point; ``discover_relations`` finds all relations at a degree by
-building an exact evaluation matrix at seeded random rational points and
-computing its nullspace.
+building exact evaluation matrices at seeded random rational points, one per
+bidegree sector, and computing their nullspaces.
 
 Identity checking is by exact evaluation at random points rather than full
 symbolic expansion.  A nonzero polynomial of total degree <= 16 in the 10
@@ -18,20 +18,20 @@ as a guard on the evaluation pipeline itself.
 Any polynomial identity among the invariants splits into bihomogeneous
 components, because every invariant is homogeneous separately in D and in u:
 scaling the two parts independently must preserve the identity.  Discovery
-therefore groups the product columns by bidegree and computes one nullspace
-per sector; the union spans exactly the relations at that degree, at a small
-fraction of the cost of eliminating the full matrix.
+therefore groups the products by bidegree, evaluates each group into its own
+sector matrix and computes one nullspace per sector; the union spans exactly
+the relations at that degree, at a small fraction of the cost of eliminating
+one matrix of all products.
 
 Each sector has many more sample rows than product columns.  ``nullspace``
-picks rank-many independent rows modulo a prime, takes their reduced
-echelon form modulo word-size primes, rebuilds the rational kernel by
-Chinese remaindering and rational reconstruction, and certifies every
-kernel vector with exact integer dot products against every sample row,
-adding a failing row or another prime until the certificate holds.  The
-kernel it returns is therefore the kernel of the whole sector matrix, the
-same vectors exact elimination gives (see ``exact_algebra``).  The
-Schwartz-Zippel re-verification below is independent of that certificate:
-it tests each candidate at fresh points from a much larger box.
+takes the reduced echelon form of all of them modulo word-size primes,
+rebuilds the rational kernel by Chinese remaindering and rational
+reconstruction, and certifies every kernel vector with exact integer dot
+products against every sample row, adding a prime until the certificate
+holds.  The kernel it returns is therefore the kernel of the whole sector
+matrix, the same vectors exact elimination gives (see ``exact_algebra``).
+The Schwartz-Zippel re-verification below is independent of that
+certificate: it tests each candidate at fresh points from a much larger box.
 
 Sampling boxes: discovery points use integer entries in [-9, 9] to keep the
 matrix entries, and with them the certificate's exact products, small;
@@ -70,7 +70,7 @@ class ProductTerm:
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(sorted(self.exponents, key=lambda ne: NAMES.index(ne[0])))
+        exps = relations._canon(self.exponents)
         object.__setattr__(self, "exponents", exps)
         if not exps or any(e <= 0 for _, e in exps):
             raise ValueError("product term needs positive exponents")
@@ -201,20 +201,16 @@ def random_harmonic_parts(rng: random.Random, bound: int) -> HarmonicParts:
     return HarmonicParts(dev, u)
 
 
-def _relation_from_vector(vec, terms, degree, basis) -> SyzygyRelation:
-    rel_terms = tuple((c, t) for c, t in zip(vec, terms) if c)
-    return SyzygyRelation(rel_terms, degree, basis)
-
-
 def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
     """Find all syzygies at a weighted degree from exact random evaluations.
 
-    Builds the sample_count x P evaluation matrix at seeded random rational
-    points, computes its exact nullspace sector by sector (see module notes
-    on bihomogeneity), and returns one normalized SyzygyRelation per basis
-    vector.  Every candidate is re-verified at 20 fresh points from the
-    large re-verification box; a candidate failing re-verification is
-    discarded with a warning (this would indicate an unlucky sample set).
+    Evaluates the products at sample_count seeded random rational points,
+    one evaluation matrix per bidegree sector (see module notes on
+    bihomogeneity), and returns one normalized SyzygyRelation per vector of
+    each sector's exact nullspace.  Every candidate is re-verified at 20
+    fresh points from the large re-verification box; a candidate failing
+    re-verification is discarded with a warning (this would indicate an
+    unlucky sample set).
     """
     terms = enumerate_products(basis, degree)
     if sample_count < len(terms) + 10:
@@ -224,23 +220,20 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
     rng = random.Random(f"{seed}:discover")
     points = [random_harmonic_parts(rng, DISCOVERY_BOUND) for _ in range(sample_count)]
     values = [all_invariants(h) for h in points]
-    matrix = [[t.evaluate(iv) for t in terms] for iv in values]
 
     sectors = {}
-    for idx, t in enumerate(terms):
-        sectors.setdefault(t.bidegree, []).append(idx)
+    for t in terms:
+        sectors.setdefault(t.bidegree, []).append(t)
 
     found = []
     for key in sorted(sectors):
-        cols = sectors[key]
-        if len(cols) < 2:
+        sector = sectors[key]
+        if len(sector) < 2:
             continue  # a single product cannot vanish identically
-        sub = RationalMatrix(tuple(tuple(row[c] for c in cols) for row in matrix))
+        sub = RationalMatrix(tuple(tuple(t.evaluate(iv) for t in sector) for iv in values))
         for vec in nullspace(sub):
-            full = [0] * len(terms)
-            for c, v in zip(cols, vec):
-                full[c] = v
-            found.append(_relation_from_vector(full, terms, degree, basis))
+            found.append(SyzygyRelation(
+                tuple((c, t) for c, t in zip(vec, sector) if c), degree, basis))
 
     reverify_rng = random.Random(f"{seed}:reverify")
     fresh = [random_harmonic_parts(reverify_rng, REVERIFY_BOUND)

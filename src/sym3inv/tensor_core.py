@@ -42,15 +42,9 @@ SYM_COMPONENT_INDICES = (
     (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
     (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3),
 )
-SYM_COMPONENT_NAMES = tuple(
-    "A%d%d%d" % ijk for ijk in SYM_COMPONENT_INDICES
-)
 
 TRACELESS_COMPONENT_INDICES = (
     (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3), (2, 2, 2), (2, 2, 3),
-)
-TRACELESS_COMPONENT_NAMES = tuple(
-    "D%d%d%d" % ijk for ijk in TRACELESS_COMPONENT_INDICES
 )
 
 ORTHOGONALITY_TOL = 1e-12
@@ -396,11 +390,14 @@ def tensor_from_json(obj) -> Sym3Tensor:
 
 
 def load_tensor(path) -> Sym3Tensor:
+    """Read a sym3-v1 file; OSError if it cannot be opened or read."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise TensorFormatError(f"invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise TensorFormatError(f"not UTF-8 text: {exc}") from exc
     return tensor_from_json(obj)
 
 

@@ -80,6 +80,14 @@ def test_malformed_file_exit_code(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "invariants", str(tmp_path / "missing.json"))
     assert code == EXIT_BAD_FILE
 
+    # a directory, and a file that is not UTF-8 text: one error line each
+    bad.write_bytes(b"\xff\xfe{}")
+    for path in (tmp_path, bad):
+        code, report, err = run_cli(capsys, "invariants", str(path))
+        assert code == EXIT_BAD_FILE
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_float_file_exit_code(capsys, tmp_path, literal):
@@ -105,6 +113,29 @@ def test_overflowing_float_file_exit_code(capsys, tmp_path, command):
     assert "finite" in err
 
 
+@pytest.fixture
+def huge_rational_file(tmp_path):
+    # exact invariants far beyond the float range (I2 ~ 10^82)
+    path = tmp_path / "huge.json"
+    save_tensor(Sym3Tensor((10 ** 41,) + (0,) * 9), path)
+    return str(path)
+
+
+def test_huge_rational_file_decimal_output_exit_code(capsys, huge_rational_file):
+    code, report, err = run_cli(capsys, "invariants", huge_rational_file)
+    assert code == EXIT_BAD_FILE
+    assert report is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
+
+
+def test_huge_rational_file_exact_output(capsys, huge_rational_file):
+    code, report, _ = run_cli(capsys, "invariants", huge_rational_file, "--exact")
+    assert code == EXIT_OK
+    assert report["pass"] is True
+    assert Fraction(report["results"]["invariants"]["I2"]) > 10 ** 80
+
+
 @pytest.mark.parametrize("argv", [
     ("discover", "--basis", "13", "--degree", "10", "--seed", "1", "--samples", "10"),
     ("prop31", "--starts", "0", "--iters", "5", "--seed", "1"),
@@ -112,6 +143,7 @@ def test_overflowing_float_file_exit_code(capsys, tmp_path, command):
     ("witness", "--case", "J4", "--theta", "nan"),
     ("witness", "--case", "J4", "--theta", "inf"),
     ("isotropy-check", "--samples", "3", "--seed", "1", "--tol", "nan"),
+    ("isotropy-check", "--samples", "3", "--seed", "1", "--tol", "-1"),
     ("isotropy-check", "--samples", "0", "--seed", "1"),
     ("isotropy-check", "--samples", "-5", "--seed", "1"),
     ("verify-syzygies", "--samples", "0", "--seed", "1"),

@@ -215,15 +215,14 @@ def test_unlucky_prime_forces_certified_retry(monkeypatch):
     p = _prime(0)
     calls = record_reductions(monkeypatch)
     assert nullspace(RationalMatrix([[p, 0], [0, 1], [0, 2], [0, 3]])) == []
-    # (1, 0) passes the chosen row but fails row 0, which joins; it then
-    # fails that chosen row mod p, so a second prime settles the rank
-    assert calls == [(1, p), (2, p), (2, _prime(1))]
+    # (1, 0) is the kernel mod p but fails row 0 exactly, so a second
+    # prime settles the rank
+    assert calls == [(4, p), (4, _prime(1))]
 
     calls.clear()
     m = RationalMatrix([[p, 2 * p, 0], [0, 0, 1], [3 * p, 1, 0], [0, 0, 5]])
     assert nullspace(m) == reference_nullspace(m) == []
-    assert [n for n, _ in calls][:2] == [2, 2]
-    assert calls[-1][0] == 3
+    assert calls == [(4, p), (4, _prime(1))]
 
 
 def test_entries_divisible_by_the_first_two_primes():
@@ -259,10 +258,10 @@ def test_selected_rows_equal_rank_without_retry(monkeypatch):
     m = random_rank_r_matrix(rng, 60, 12, 7)
     calls = record_reductions(monkeypatch)
     basis = nullspace(m)
-    # rank-many rows, never a row added; the kernel entries have up to 19
+    # every row eliminated once per prime; the kernel entries have up to 19
     # bits, past the 15-bit bound one prime reconstructs, so two primes
     assert max(v.bit_length() for vec in basis for v in vec) == 19
-    assert calls == [(7, _prime(0)), (7, _prime(1))]
+    assert calls == [(60, _prime(0)), (60, _prime(1))]
     assert len(basis) == 12 - 7
 
 

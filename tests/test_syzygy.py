@@ -215,6 +215,16 @@ def test_discovery_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("degree, count", [(12, 10), (14, 30)])
+def test_discovery_counts_over_the_thirteen(degree, count):
+    # the relation counts character theory predicts over the integrity basis
+    terms = enumerate_products(THIRTEEN, degree)
+    found = discover_relations(THIRTEEN, degree, seed=1, sample_count=len(terms) + 10)
+    assert len(found) == count
+    for rel in found:
+        assert len({t.bidegree for _, t in rel.terms}) == 1
+
+
 def test_in_span_rejects_outsiders():
     found = discover_relations(THIRTEEN, 10, seed=3, sample_count=95)
     terms = enumerate_products(THIRTEEN, 10)
