@@ -91,7 +91,7 @@ def cmd_invariants(args):
         raise FieldMismatchError("--exact requires a rational-field tensor file")
     iv = invariants_of(tensor)
     if args.exact:
-        values = {n: jsonable(Fraction(iv[n])) for n in NAMES}
+        values = {n: Fraction(iv[n]) for n in NAMES}
     else:
         values = {n: float(iv[n]) for n in NAMES}
     return {"field": tensor.field, "invariants": values}, True
@@ -102,19 +102,13 @@ def cmd_decompose(args):
     h = decompose(tensor)
     d = h.deviator
     d133, d233, d333 = d.dependent_components()
-    if h.field == RATIONAL:
-        scalar = Fraction  # uniform p/q output even for integer entries
-    else:
-        scalar = float
     results = {
         "field": h.field,
         "deviator": {
-            "independent": jsonable([scalar(c) for c in d.components]),
-            "dependent": {"D133": jsonable(scalar(d133)),
-                          "D233": jsonable(scalar(d233)),
-                          "D333": jsonable(scalar(d333))},
+            "independent": d.components,
+            "dependent": {"D133": d133, "D233": d233, "D333": d333},
         },
-        "vector": jsonable([scalar(c) for c in h.vector]),
+        "vector": h.vector,
     }
     return results, True
 
@@ -136,10 +130,8 @@ def cmd_reconstruct(args):
         ok = abs(dk6) <= 1e-8 * size ** 3 and abs(di8) <= 1e-8 * size ** 4
     results = {
         "field": tensor.field,
-        "K6": {"direct": jsonable(iv["K6"]), "reconstructed": jsonable(k6),
-               "difference": jsonable(dk6)},
-        "I8": {"direct": jsonable(iv["I8"]), "reconstructed": jsonable(i8),
-               "difference": jsonable(di8)},
+        "K6": {"direct": iv["K6"], "reconstructed": k6, "difference": dk6},
+        "I8": {"direct": iv["I8"], "reconstructed": i8, "difference": di8},
     }
     return results, ok
 
@@ -170,7 +162,7 @@ def cmd_discover(args):
         relations_out.append({
             "degree": rel.degree,
             "bidegree": list(rel.terms[0][1].bidegree),
-            "terms": {str(t): jsonable(Fraction(c)) for c, t in rel.terms},
+            "terms": {str(t): Fraction(c) for c, t in rel.terms},
         })
     results = {
         "basis": basis,
@@ -226,10 +218,6 @@ def cmd_prop31(args):
 
 
 def cmd_witness(args):
-    if args.write_tensor and args.case == "J4" and args.theta is None:
-        print("error: --write-tensor with case J4 needs an explicit --theta",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
     params = None
     if args.params is not None:
         params = tuple(int(p) if p.is_integer() else p for p in args.params)
@@ -241,7 +229,7 @@ def cmd_witness(args):
 
 
 def _check_arguments(args):
-    """Raise ValueError for a non-finite float, a --samples below 1 or a negative --tol."""
+    """Raise ValueError for an argument value or option combination the command rejects."""
     for name, value in vars(args).items():
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, list) else [value])):
@@ -250,6 +238,13 @@ def _check_arguments(args):
         raise ValueError("--samples must be >= 1")
     if getattr(args, "tol", 0.0) < 0:
         raise ValueError("--tol must be >= 0")
+    if args.command == "witness":
+        if args.theta is not None and args.case != "J4":
+            raise ValueError("--theta applies only to case J4")
+        if args.params is not None and args.case != "M6":
+            raise ValueError("--params applies only to case M6")
+        if args.write_tensor and args.case == "J4" and args.theta is None:
+            raise ValueError("--write-tensor with case J4 needs an explicit --theta")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,14 +23,19 @@ All randomness is seeded; per-start trajectories depend only on
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .invariants import all_invariants
-from .tensor_core import HarmonicParts, Traceless3Tensor, expand
+from .tensor_core import (
+    TRACELESS_COMPONENT_INDICES,
+    HarmonicParts,
+    Traceless3Tensor,
+    expand,
+    orthonormalize,
+)
 
 GRAD_TOL = 1e-9
 EIGEN_GAP_TOL = 1e-8
@@ -44,27 +49,14 @@ UNIT_NORM_TOL = 1e-6  # accepted |squared norm - 1| of a deviator in inner_solve
 SAMPLE_CHUNK = 100_000  # points per batch in sample_feasible_values; bounds its temporaries
 
 
-def _orthonormal_deviator_basis():
-    """Orthonormal basis (in the 27-entry Euclidean metric) of the deviator space."""
-    basis = []
-    for a in range(7):
-        comps = [0.0] * 7
-        comps[a] = 1.0
-        t = expand(Traceless3Tensor(tuple(comps)))
-        v = [t[i][j][k] for i in range(3) for j in range(3) for k in range(3)]
-        for p in basis:
-            dot = sum(x * y for x, y in zip(v, p))
-            v = [x - dot * y for x, y in zip(v, p)]
-        norm = math.sqrt(sum(x * x for x in v))
-        basis.append([x / norm for x in v])
-    return basis
+# orthonormal basis (in the 27-entry Euclidean metric) of the deviator space, (7, 27)
+_BASIS = np.array(orthonormalize(
+    [e for plane in expand(Traceless3Tensor(unit)) for row in plane for e in row]
+    for unit in np.eye(7).tolist()
+))
 
-
-_BASIS = np.array(_orthonormal_deviator_basis())  # (7, 27)
-
-# 27-entry flattening of the component placement, for coordinate readback:
-# independent component positions (i, j, k) zero-based -> flat index 9i+3j+k
-_INDEP_FLAT = [0, 1, 2, 4, 5, 13, 14]  # D111 D112 D113 D122 D123 D222 D223
+# flat index 9i+3j+k (zero-based) of each stored deviator component, for coordinate readback
+_INDEP_FLAT = [9 * (i - 1) + 3 * (j - 1) + (k - 1) for i, j, k in TRACELESS_COMPONENT_INDICES]
 
 
 def _expand(x):

@@ -33,6 +33,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -169,6 +170,17 @@ class Orthogonal3:
             raise ValueError(f"matrix is not orthogonal (defect {float(defect):.3e})")
 
 
+# Row (i, j) of the 3x3x3 expansion picks, for k = 1, 2, 3, the storage slot
+# (in SYM_COMPONENT_INDICES order) of the sorted triple (i, j, k).
+_EXPANDED_ROWS = tuple(
+    tuple(
+        itemgetter(*(SYM_COMPONENT_INDICES.index(tuple(sorted((i, j, k)))) for k in (1, 2, 3)))
+        for j in (1, 2, 3)
+    )
+    for i in (1, 2, 3)
+)
+
+
 def expand(t):
     """Full 3x3x3 expansion of a Sym3Tensor or Traceless3Tensor.
 
@@ -177,22 +189,13 @@ def expand(t):
     Returns nested tuples indexed t[i][j][k] with 0-based indices.
     """
     if isinstance(t, Sym3Tensor):
-        by_triple = dict(zip(SYM_COMPONENT_INDICES, t.components))
+        c = t.components
     elif isinstance(t, Traceless3Tensor):
-        by_triple = dict(zip(TRACELESS_COMPONENT_INDICES, t.components))
         d133, d233, d333 = t.dependent_components()
-        by_triple[(1, 3, 3)] = d133
-        by_triple[(2, 3, 3)] = d233
-        by_triple[(3, 3, 3)] = d333
+        c = t.components[:5] + (d133,) + t.components[5:] + (d233, d333)
     else:
         raise TypeError(f"cannot expand {type(t).__name__}")
-    return tuple(
-        tuple(
-            tuple(by_triple[tuple(sorted((i, j, k)))] for k in (1, 2, 3))
-            for j in (1, 2, 3)
-        )
-        for i in (1, 2, 3)
-    )
+    return tuple([tuple([row(c) for row in plane]) for plane in _EXPANDED_ROWS])
 
 
 def _traceless_from_expanded(d):
@@ -277,46 +280,42 @@ def random_sym3(seed: int, field: str = RATIONAL, bound: int = 9) -> Sym3Tensor:
     return Sym3Tensor(comps)
 
 
+def orthonormalize(vectors):
+    """Modified Gram-Schmidt in order; None when a remainder's norm is below 1e-8."""
+    basis = []
+    for vector in vectors:
+        v = list(vector)
+        for p in basis:
+            dot = sum(x * y for x, y in zip(v, p))
+            v = [x - dot * y for x, y in zip(v, p)]
+        n = math.sqrt(sum(x * x for x in v))
+        if n < 1e-8:
+            return None
+        basis.append([x / n for x in v])
+    return basis
+
+
 def random_orthogonal(seed: int, det_sign: int = 1) -> Orthogonal3:
     """Seeded random orthogonal matrix with the requested determinant sign.
 
     Gram-Schmidt on a 3x3 matrix of standard normals (run twice, which pins
     the orthogonality defect near machine epsilon) with a column-sign fix,
-    then composition with diag(-1, 1, 1) when det_sign is -1.
+    then the first column negated when the determinant's sign is not det_sign.
     """
     if det_sign not in (1, -1):
         raise ValueError("det_sign must be +1 or -1")
     rng = random.Random(seed)
-    while True:
+    q = None
+    while q is None:  # a nearly dependent draw is drawn again
         cols = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(3)]
-        q = cols
-        ok = True
-        for _ in range(2):
-            step = []
-            for col in q:
-                v = list(col)
-                for p in step:
-                    dot = sum(x * y for x, y in zip(v, p))
-                    v = [x - dot * y for x, y in zip(v, p)]
-                n = math.sqrt(sum(x * x for x in v))
-                if n < 1e-8:  # retry on a nearly dependent draw
-                    ok = False
-                    break
-                step.append([x / n for x in v])
-            if not ok:
-                break
-            q = step
-        if ok:
-            q = [
-                [-x for x in v] if sum(x * y for x, y in zip(col, v)) < 0 else v
-                for col, v in zip(cols, q)
-            ]
-            break
+        q = orthonormalize(cols)
+        q = q and orthonormalize(q)
+    q = [
+        [-x for x in v] if sum(x * y for x, y in zip(col, v)) < 0 else v
+        for col, v in zip(cols, q)
+    ]
     rows = tuple(tuple(q[c][r] for c in range(3)) for r in range(3))
-    out = Orthogonal3(rows)
-    if out.determinant() < 0:
-        rows = tuple((-r0, r1, r2) for (r0, r1, r2) in rows)
-    if det_sign == -1:
+    if (Orthogonal3(rows).determinant() < 0) != (det_sign == -1):
         rows = tuple((-r0, r1, r2) for (r0, r1, r2) in rows)
     return Orthogonal3(rows)
 

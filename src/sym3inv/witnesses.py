@@ -24,12 +24,16 @@ from importlib import resources
 
 from .invariants import NAMES, invariants_of, all_invariants
 from .tensor_core import (
+    FORMAT_TAG,
+    RATIONAL,
     HarmonicParts,
     Sym3Tensor,
     Traceless3Tensor,
+    field_of,
     format_rational,
     parse_rational,
     recompose,
+    tensor_from_json,
 )
 
 WITNESS_CASES = ("L6", "K4", "J6", "L4", "M6", "J4")
@@ -43,15 +47,14 @@ def load_fixture(case: str) -> dict:
 
 
 def witness_tensor(case: str) -> Sym3Tensor:
-    """The fixture tensor for a static case (L6, K4, J6, L4)."""
+    """The fixture tensor for a static case (L6, K4, J6, L4).
+
+    Its field and components get the validation of a tensor file.
+    """
     fix = load_fixture(case)
     if "components" not in fix:
         raise ValueError(f"case {case} is a family, not a single tensor")
-    if fix["field"] == "rational":
-        comps = tuple(parse_rational(c) for c in fix["components"])
-    else:
-        comps = tuple(float(c) for c in fix["components"])
-    return Sym3Tensor(comps)
+    return tensor_from_json({**fix, "format": FORMAT_TAG})
 
 
 def m6_harmonic_parts(a, b, c, d) -> HarmonicParts:
@@ -119,13 +122,19 @@ def _compare(computed, expected, check: dict, is_zero: bool):
     raise ValueError(f"unknown check kind {kind!r}")
 
 
-def _run_value_checks(iv, expected: dict, zeros, check: dict, exact: bool):
+def _value_report(iv, spec: dict) -> dict:
+    """The invariants, checks and pass of values iv against spec's expected values and zeros.
+
+    spec["check"] says how to compare; its kind "exact" compares exact scalars.
+    """
+    exact = spec["check"]["kind"] == "exact"
     zero = Fraction(0) if exact else 0.0
-    targets = [(name, _expected_value(raw, exact), False) for name, raw in expected.items()]
-    targets += [(name, zero, True) for name in zeros]
+    targets = [(name, _expected_value(raw, exact), False)
+               for name, raw in spec["expected"].items()]
+    targets += [(name, zero, True) for name in spec["zeros"]]
     checks = []
     for name, expect, is_zero in targets:
-        ok, err = _compare(iv[name], expect, check, is_zero)
+        ok, err = _compare(iv[name], expect, spec["check"], is_zero)
         checks.append({
             "invariant": name,
             "expected": _jsonable(expect),
@@ -133,68 +142,44 @@ def _run_value_checks(iv, expected: dict, zeros, check: dict, exact: bool):
             "error": _jsonable(err),
             "ok": ok,
         })
-    return checks, all(c["ok"] for c in checks)
+    return {
+        "invariants": {n: _jsonable(iv[n]) for n in NAMES},
+        "checks": checks,
+        "pass": all(c["ok"] for c in checks),
+    }
 
 
 def _check_static_case(case: str) -> dict:
     fix = load_fixture(case)
     iv = invariants_of(witness_tensor(case))
-    exact = fix["check"]["kind"] == "exact"
-    checks, ok = _run_value_checks(iv, fix["expected"], fix["zeros"], fix["check"], exact)
-    report = {
-        "case": case,
-        "role": fix["role"],
-        "invariants": {n: _jsonable(iv[n]) for n in NAMES},
-        "checks": checks,
-        "pass": ok,
-    }
+    report = {"case": case, "role": fix["role"], **_value_report(iv, fix)}
     if "known_issue" in fix:
         report["known_issue"] = fix["known_issue"]
     return report
 
 
-def _check_m6_instance(instance: dict) -> dict:
-    params = _instance_params(instance)
-    h = m6_harmonic_parts(*params)
-    iv = all_invariants(h)
-    exact = instance["check"]["kind"] == "exact"
-    checks, ok = _run_value_checks(
-        iv, instance["expected"], instance["zeros"], instance["check"], exact
-    )
-    return {
-        "params": {k: _jsonable(v) for k, v in zip("abcd", params)},
-        "tensor": {"components": [_jsonable(c) for c in recompose(h).components]},
-        "invariants": {n: _jsonable(iv[n]) for n in NAMES},
-        "checks": checks,
-        "pass": ok,
-    }
-
-
-def _check_m6_family_member(fix: dict, params) -> dict:
-    """Only the parameter-independent zeros, for parameters no instance records."""
-    iv = all_invariants(m6_harmonic_parts(*params))
-    exact = all(not isinstance(p, float) for p in params)
-    check = {"kind": "exact"} if exact else {"kind": "abs", "tolerance": 1e-9}
-    checks, ok = _run_value_checks(iv, {}, fix["family_zeros"], check, exact)
-    return {
-        "params": {k: _jsonable(v) for k, v in zip("abcd", params)},
-        "invariants": {n: _jsonable(iv[n]) for n in NAMES},
-        "checks": checks,
-        "pass": ok,
-    }
-
-
 def _check_m6_case(params=None) -> dict:
     fix = load_fixture("M6")
-    if params is None:
-        instances = [_check_m6_instance(inst) for inst in fix["instances"]]
-    else:
-        # explicit parameters matching a recorded instance get its full checks
-        matched = [inst for inst in fix["instances"]
+    specs = fix["instances"]
+    if params is not None:
+        # explicit parameters matching a recorded instance get its full checks,
+        # others only the parameter-independent zeros
+        exact = field_of(params) == RATIONAL
+        check = {"kind": "exact"} if exact else {"kind": "abs", "tolerance": 1e-9}
+        family = {"expected": {}, "zeros": fix["family_zeros"], "check": check}
+        matched = [inst for inst in specs
                    if all(abs(float(p) - float(r)) <= 1e-12
                           for p, r in zip(params, _instance_params(inst)))]
-        instances = [_check_m6_instance(matched[0]) if matched
-                     else _check_m6_family_member(fix, params)]
+        specs = matched[:1] or [family]
+    instances = []
+    for spec in specs:
+        recorded = "params" in spec
+        values = _instance_params(spec) if recorded else params
+        h = m6_harmonic_parts(*values)
+        inst = {"params": {k: _jsonable(v) for k, v in zip("abcd", values)}}
+        if recorded:
+            inst["tensor"] = {"components": [_jsonable(c) for c in recompose(h).components]}
+        instances.append({**inst, **_value_report(all_invariants(h), spec)})
     return {
         "case": "M6",
         "role": fix["role"],
@@ -218,38 +203,31 @@ def _check_j4_case(theta=None) -> dict:
     else:
         n = fix["default_theta_count"]
         thetas = [math.pi * i / (n - 1) for i in range(n)]
-    check = fix["check"]
+    tolerance = fix["check"]["tolerance"]
+    targets = {**fix["expected_constant"], **dict.fromkeys(fix["zeros"], 0.0)}
     ok = True
-    worst = {name: 0.0 for name in list(fix["expected_constant"]) + fix["zeros"]}
-    j4_values = []
-    m6_values = []
-    for th in thetas:
-        iv = invariants_of(j4_tensor(th))
-        for name, expect in fix["expected_constant"].items():
+    worst = dict.fromkeys(targets, 0.0)
+    ivs = [invariants_of(j4_tensor(th)) for th in thetas]
+    for iv in ivs:
+        for name, expect in targets.items():
             err = abs(iv[name] - expect)
             worst[name] = max(worst[name], err)
-            ok &= err <= check["tolerance"]
-        for name in fix["zeros"]:
-            err = abs(iv[name])
-            worst[name] = max(worst[name], err)
-            ok &= err <= check["tolerance"]
-        j4_values.append(iv["J4"])
-        m6_values.append(iv["M6"])
+            ok &= err <= tolerance
 
-    checks = [{"invariant": n, "max_error": worst[n], "ok": worst[n] <= check["tolerance"]}
+    checks = [{"invariant": n, "max_error": worst[n], "ok": worst[n] <= tolerance}
               for n in worst]
 
     # monotonicity of J4 on [0, pi/4], plus its value at 0
     grid = [math.pi / 4 * i / 32 for i in range(33)]
     mono_vals = [invariants_of(j4_tensor(t))["J4"] for t in grid]
     monotone = all(b >= a - 1e-12 for a, b in zip(mono_vals, mono_vals[1:]))
-    at_zero = invariants_of(j4_tensor(0.0))["J4"]
+    at_zero = mono_vals[0]
     start_ok = abs(at_zero - 2.0) <= 1e-9
     ok &= monotone and start_ok
 
     # closed-form comparison: reported, never patched into the pass checks
-    j4_dev = max(abs(v - _closed_form_j4(t)) for t, v in zip(thetas, j4_values))
-    m6_dev = max(abs(v - _closed_form_m6(t)) for t, v in zip(thetas, m6_values))
+    j4_dev = max(abs(iv["J4"] - _closed_form_j4(t)) for t, iv in zip(thetas, ivs))
+    m6_dev = max(abs(iv["M6"] - _closed_form_m6(t)) for t, iv in zip(thetas, ivs))
     report = {
         "case": "J4",
         "role": fix["role"],

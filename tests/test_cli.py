@@ -142,6 +142,11 @@ def test_huge_rational_file_exact_output(capsys, huge_rational_file):
     ("witness", "--case", "M6", "--params", "nan", "0", "0", "1"),
     ("witness", "--case", "J4", "--theta", "nan"),
     ("witness", "--case", "J4", "--theta", "inf"),
+    ("witness", "--case", "L6", "--theta", "0.5"),
+    ("witness", "--case", "L6", "--params", "1", "2", "3", "4"),
+    ("witness", "--case", "L6", "--theta", "0.5", "--params", "1", "2", "3", "4"),
+    ("witness", "--case", "M6", "--theta", "0.5"),
+    ("witness", "--case", "J4", "--params", "1", "2", "3", "4"),
     ("isotropy-check", "--samples", "3", "--seed", "1", "--tol", "nan"),
     ("isotropy-check", "--samples", "3", "--seed", "1", "--tol", "-1"),
     ("isotropy-check", "--samples", "0", "--seed", "1"),
@@ -279,9 +284,12 @@ def test_witness_write_tensor_roundtrip(capsys, tmp_path):
 
 
 def test_witness_write_tensor_j4_needs_theta(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["witness", "--case", "J4", "--write-tensor", str(tmp_path / "x.json")])
-    assert exc.value.code == EXIT_USAGE
+    out = tmp_path / "x.json"
+    code, report, err = run_cli(capsys, "witness", "--case", "J4", "--write-tensor", str(out))
+    assert code == EXIT_USAGE
+    assert report is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_report_determinism_modulo_wall_time(capsys):

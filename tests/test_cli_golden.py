@@ -58,6 +58,8 @@ CASES = {
     "witness_M6": ("witness", "--case", "M6"),
     "witness_M6_params_integer": ("witness", "--case", "M6", "--params", "1", "2", "3", "2"),
     "witness_M6_params_float": ("witness", "--case", "M6", "--params", "0.5", "0.25", "0", "1"),
+    "witness_M6_params_recorded": ("witness", "--case", "M6", "--params", "0.7071067811865476",
+                                   "0.7071067811865476", "0", "1"),
     "witness_J4": ("witness", "--case", "J4"),
     "witness_J4_theta": ("witness", "--case", "J4", "--theta", "0.7"),
 }

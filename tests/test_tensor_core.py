@@ -27,6 +27,7 @@ from sym3inv import (
 )
 from sym3inv.tensor_core import (
     TensorFormatError,
+    orthonormalize,
     parse_rational,
     rotate_vector,
     tensor_from_json,
@@ -92,6 +93,41 @@ def test_expand_permutation_invariance_exhaustive():
             for k in range(3):
                 for p in itertools.permutations((i, j, k)):
                     assert t[p[0]][p[1]][p[2]] == t[i][j][k]
+
+
+def _expand_by_sorted_triple(t):
+    """Reference expansion: entry (i, j, k) is the component of the sorted triple."""
+    if isinstance(t, Sym3Tensor):
+        by_triple = dict(zip(
+            [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
+             (1, 3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3)], t.components))
+    else:
+        d111, d112, d113, d122, d123, d222, d223 = t.components
+        by_triple = {(1, 1, 1): d111, (1, 1, 2): d112, (1, 1, 3): d113, (1, 2, 2): d122,
+                     (1, 2, 3): d123, (2, 2, 2): d222, (2, 2, 3): d223,
+                     (1, 3, 3): -d111 - d122, (2, 3, 3): -d112 - d222,
+                     (3, 3, 3): -d113 - d223}
+    rng = (1, 2, 3)
+    return tuple(tuple(tuple(by_triple[tuple(sorted((i, j, k)))] for k in rng)
+                       for j in rng) for i in rng)
+
+
+_SCALARS = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-10, max_value=10),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_SCALARS, min_size=17, max_size=17))
+def test_expand_matches_sorted_triple_reference(values):
+    for t in (Sym3Tensor(tuple(values[:10])), Traceless3Tensor(tuple(values[10:]))):
+        got, want = expand(t), _expand_by_sorted_triple(t)
+        assert got == want
+        # same scalar objects' types too: no int/Fraction/float coercion
+        assert [type(e) for p in got for r in p for e in r] == \
+               [type(e) for p in want for r in p for e in r]
 
 
 def test_traceless_contractions_vanish_exactly():
@@ -267,6 +303,16 @@ def test_random_sym3_bounds():
     assert all(isinstance(c, int) and -4 <= c <= 4 for c in a.components)
     b = random_sym3(15, FLOAT, 4)
     assert all(-4.0 <= c <= 4.0 for c in b.components)
+
+
+def test_orthonormalize():
+    q = orthonormalize([[3.0, 0.0, 4.0], [1.0, 1.0, 0.0]])
+    assert q[0] == [0.6, 0.0, 0.8]
+    assert abs(sum(x * y for x, y in zip(*q))) < 1e-15
+    assert abs(sum(x * x for x in q[1]) - 1.0) < 1e-15
+    # a remainder below 1e-8 means the vectors are nearly dependent
+    assert orthonormalize([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-10]]) is None
+    assert orthonormalize([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + 1e-6]]) is not None
 
 
 def test_random_orthogonal_contract():

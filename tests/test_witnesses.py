@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from sym3inv import check_witness, witness_tensor
+from sym3inv import check_witness, witness_tensor, witnesses
+from sym3inv.tensor_core import TensorFormatError
 from sym3inv.witnesses import (
     j4_tensor,
     load_fixture,
@@ -28,6 +29,14 @@ def test_unknown_case_rejected():
 def test_family_cases_have_no_single_tensor():
     with pytest.raises(ValueError):
         witness_tensor("M6")
+
+
+def test_fixture_components_get_tensor_file_validation(monkeypatch):
+    fix = load_fixture("K4")
+    fix["components"] = [math.nan] + fix["components"][1:]
+    monkeypatch.setattr(witnesses, "load_fixture", lambda case: fix)
+    with pytest.raises(TensorFormatError):
+        witness_tensor("K4")
 
 
 def test_k4_fixture_matches_independent_closed_form_evaluation():
