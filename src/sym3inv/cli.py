@@ -238,13 +238,6 @@ def _check_arguments(args):
         raise ValueError("--samples must be >= 1")
     if getattr(args, "tol", 0.0) < 0:
         raise ValueError("--tol must be >= 0")
-    if args.command == "witness":
-        if args.theta is not None and args.case != "J4":
-            raise ValueError("--theta applies only to case J4")
-        if args.params is not None and args.case != "M6":
-            raise ValueError("--params applies only to case M6")
-        if args.write_tensor and args.case == "J4" and args.theta is None:
-            raise ValueError("--write-tensor with case J4 needs an explicit --theta")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -206,18 +206,17 @@ class MinimizeResult:
     point: FeasiblePoint
     value: float
     grad_norm: float
-    start_index: int
     iterations: int
     backtracks: int
 
 
-def _result(descent, s, start_index):
+def _result(descent, s):
     """MinimizeResult for row s of a _descend output."""
     x, f, grad_norm, moves, backtracks = descent
     d = deviator_from_coords(x[s])
     u, _ = inner_solve_u(d)
     return MinimizeResult(FeasiblePoint(d, u), float(f[s]), float(grad_norm[s]),
-                          start_index, int(moves.sum()), int(backtracks.sum()))
+                          int(moves.sum()), int(backtracks.sum()))
 
 
 def minimize(seed: int, starts: int, iters: int) -> MinimizeResult:
@@ -228,13 +227,13 @@ def minimize(seed: int, starts: int, iters: int) -> MinimizeResult:
     x0 = _normalize(np.array([[rng.gauss(0.0, 1.0) for _ in range(7)] for rng in rngs]))
     descent = _descend(x0, iters, rngs)
     s = int(np.argmin(descent[1]))  # ties go to the first start
-    return _result(descent, s, s)
+    return _result(descent, s)
 
 
 def refine_from(d: Traceless3Tensor, iters: int) -> MinimizeResult:
     """Run the descent from a given deviator (renormalized to the sphere)."""
     x = _normalize(coords_from_deviator(d))[None, :]
-    return _result(_descend(x, iters, [random.Random("refine:0")]), 0, -1)
+    return _result(_descend(x, iters, [random.Random("refine:0")]), 0)
 
 
 def sample_feasible_values(seed: int, count: int) -> np.ndarray:

@@ -172,9 +172,7 @@ def enumerate_products(basis: str, degree: int):
             for rest in gen(i + 1, remaining - e * d):
                 yield (((names[i], e),) if e else ()) + rest
 
-    found = [ProductTerm(t) for t in gen(0, degree) if t]
-    found.sort(key=lambda t: t.exponent_vector(names), reverse=True)
-    return found
+    return [ProductTerm(t) for t in gen(0, degree) if t]
 
 
 def evaluate_products(terms, h: HarmonicParts):
@@ -362,12 +360,7 @@ def symbolic_relation_vectors(basis: str, degree: int):
         raise ValueError("symbolic expansion cross-check is limited to degree <= 4")
     polys = symbolic_invariant_polynomials()
     terms = enumerate_products(basis, degree)
-    expanded = []
-    for t in terms:
-        p = _Poly.const(1)
-        for name, e in t.exponents:
-            p = p * polys[name] ** e
-        expanded.append(p)
+    expanded = [t.evaluate(polys) for t in terms]
     monomials = sorted({m for p in expanded for m in p.terms})
     # columns are products, rows are monomial coefficients
     matrix = RationalMatrix(tuple(

@@ -46,15 +46,37 @@ def load_fixture(case: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _case_fixture(case: str, theta=None, params=None, tensor: bool = False) -> dict:
+    """The fixture of a witness case, once its arguments are checked.
+
+    theta applies only to J4, params (four values a, b, c, d) only to M6,
+    and a J4 tensor needs theta; anything else raises ValueError.
+    """
+    fix = load_fixture(case)
+    if theta is not None and case != "J4":
+        raise ValueError(f"theta applies only to case J4, not {case}")
+    if params is not None and case != "M6":
+        raise ValueError(f"params apply only to case M6, not {case}")
+    if params is not None and len(params) != 4:
+        raise ValueError(f"params need four values a, b, c, d, not {len(params)}")
+    if tensor and case == "J4" and theta is None:
+        raise ValueError("the J4 tensor needs an explicit theta")
+    return fix
+
+
+def _static_tensor(fix: dict) -> Sym3Tensor:
+    """The tensor of a static fixture, validated like a tensor file."""
+    if "components" not in fix:
+        raise ValueError(f"case {fix['case']} is a family, not a single tensor")
+    return tensor_from_json({**fix, "format": FORMAT_TAG})
+
+
 def witness_tensor(case: str) -> Sym3Tensor:
     """The fixture tensor for a static case (L6, K4, J6, L4).
 
     Its field and components get the validation of a tensor file.
     """
-    fix = load_fixture(case)
-    if "components" not in fix:
-        raise ValueError(f"case {case} is a family, not a single tensor")
-    return tensor_from_json({**fix, "format": FORMAT_TAG})
+    return _static_tensor(load_fixture(case))
 
 
 def m6_harmonic_parts(a, b, c, d) -> HarmonicParts:
@@ -77,13 +99,14 @@ def witness_instance_tensor(case: str, theta=None, params=None) -> Sym3Tensor:
     J4 at theta (required), M6 at params (default: the first recorded
     instance), any other case its fixture tensor.
     """
+    fix = _case_fixture(case, theta, params, tensor=True)
     if case == "J4":
         return j4_tensor(theta)
     if case == "M6":
         if params is None:
-            params = _instance_params(load_fixture("M6")["instances"][0])
+            params = _instance_params(fix["instances"][0])
         return recompose(m6_harmonic_parts(*params))
-    return witness_tensor(case)
+    return _static_tensor(fix)
 
 
 def _instance_params(instance: dict) -> tuple:
@@ -149,17 +172,15 @@ def _value_report(iv, spec: dict) -> dict:
     }
 
 
-def _check_static_case(case: str) -> dict:
-    fix = load_fixture(case)
-    iv = invariants_of(witness_tensor(case))
+def _check_static_case(case: str, fix: dict) -> dict:
+    iv = invariants_of(_static_tensor(fix))
     report = {"case": case, "role": fix["role"], **_value_report(iv, fix)}
     if "known_issue" in fix:
         report["known_issue"] = fix["known_issue"]
     return report
 
 
-def _check_m6_case(params=None) -> dict:
-    fix = load_fixture("M6")
+def _check_m6_case(fix: dict, params) -> dict:
     specs = fix["instances"]
     if params is not None:
         # explicit parameters matching a recorded instance get its full checks,
@@ -196,8 +217,7 @@ def _closed_form_m6(theta: float) -> float:
     return math.sin(theta) ** 2 * (2 * math.cos(theta) + math.sin(theta) ** 2)
 
 
-def _check_j4_case(theta=None) -> dict:
-    fix = load_fixture("J4")
+def _check_j4_case(fix: dict, theta) -> dict:
     if theta is not None:
         thetas = [float(theta)]
     else:
@@ -205,17 +225,12 @@ def _check_j4_case(theta=None) -> dict:
         thetas = [math.pi * i / (n - 1) for i in range(n)]
     tolerance = fix["check"]["tolerance"]
     targets = {**fix["expected_constant"], **dict.fromkeys(fix["zeros"], 0.0)}
-    ok = True
-    worst = dict.fromkeys(targets, 0.0)
     ivs = [invariants_of(j4_tensor(th)) for th in thetas]
-    for iv in ivs:
-        for name, expect in targets.items():
-            err = abs(iv[name] - expect)
-            worst[name] = max(worst[name], err)
-            ok &= err <= tolerance
-
-    checks = [{"invariant": n, "max_error": worst[n], "ok": worst[n] <= tolerance}
-              for n in worst]
+    errors = {n: [abs(iv[n] - expect) for iv in ivs] for n, expect in targets.items()}
+    # a NaN error fails its check: every comparison with NaN is false
+    checks = [{"invariant": n, "max_error": max(errs),
+               "ok": all(e <= tolerance for e in errs)}
+              for n, errs in errors.items()]
 
     # monotonicity of J4 on [0, pi/4], plus its value at 0
     grid = [math.pi / 4 * i / 32 for i in range(33)]
@@ -223,12 +238,11 @@ def _check_j4_case(theta=None) -> dict:
     monotone = all(b >= a - 1e-12 for a, b in zip(mono_vals, mono_vals[1:]))
     at_zero = mono_vals[0]
     start_ok = abs(at_zero - 2.0) <= 1e-9
-    ok &= monotone and start_ok
 
     # closed-form comparison: reported, never patched into the pass checks
     j4_dev = max(abs(iv["J4"] - _closed_form_j4(t)) for t, iv in zip(thetas, ivs))
     m6_dev = max(abs(iv["M6"] - _closed_form_m6(t)) for t, iv in zip(thetas, ivs))
-    report = {
+    return {
         "case": "J4",
         "role": fix["role"],
         "thetas": thetas,
@@ -248,17 +262,15 @@ def _check_j4_case(theta=None) -> dict:
                 "value M6(3pi/4) = 1/4"
             ) if m6_dev > 1e-9 else "both closed forms match the computed values",
         },
-        "pass": ok,
+        "pass": all(c["ok"] for c in checks) and monotone and start_ok,
     }
-    return report
 
 
 def check_witness(case: str, theta=None, params=None) -> dict:
     """Build a witness fixture, evaluate invariants, compare to expected values."""
-    if case in ("L6", "K4", "J6", "L4"):
-        return _check_static_case(case)
+    fix = _case_fixture(case, theta, params)
     if case == "M6":
-        return _check_m6_case(params)
+        return _check_m6_case(fix, params)
     if case == "J4":
-        return _check_j4_case(theta)
-    raise ValueError(f"unknown witness case {case!r}")
+        return _check_j4_case(fix, theta)
+    return _check_static_case(case, fix)

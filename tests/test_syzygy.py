@@ -78,6 +78,8 @@ def test_enumerate_matches_brute_force(basis, degree, expected_count):
         ))
         as_multisets.add(combo)
     assert as_multisets == oracle
+    names = BASIS_NAMES[basis]
+    assert terms == sorted(terms, key=lambda t: t.exponent_vector(names), reverse=True)
     if expected_count is not None:
         assert len(terms) == expected_count
 

@@ -218,6 +218,39 @@ def test_check_j4_single_theta():
     assert len(report["thetas"]) == 1
 
 
+def test_check_j4_nan_theta_fails_every_check():
+    report = check_witness("J4", theta=float("nan"))
+    assert not report["pass"]
+    assert report["checks"] and not any(c["ok"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("case,kwargs", [
+    ("L6", {"theta": 0.5}),
+    ("K4", {"params": (1, 2, 3, 4)}),
+    ("M6", {"params": (0, 0, 1)}),
+])
+def test_check_witness_rejects_arguments_the_case_does_not_take(case, kwargs):
+    with pytest.raises(ValueError):
+        check_witness(case, **kwargs)
+
+
+def test_j4_instance_tensor_needs_theta():
+    with pytest.raises(ValueError):
+        witnesses.witness_instance_tensor("J4")
+
+
+def test_static_case_loads_its_fixture_once(monkeypatch):
+    calls = []
+
+    def counting_load(case):
+        calls.append(case)
+        return load_fixture(case)
+
+    monkeypatch.setattr(witnesses, "load_fixture", counting_load)
+    assert check_witness("K4")["pass"]
+    assert calls == ["K4"]
+
+
 def test_j4_construction_at_reference_angle():
     from sym3inv import invariants_of
 
