@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -52,7 +53,7 @@ class RationalMatrix:
             raise ValueError("matrix must have at least one row and one column")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        if any(isinstance(e, float) for r in rows for e in r):
+        if any(issubclass(t, float) for t in set(map(type, chain.from_iterable(rows)))):
             raise TypeError("RationalMatrix holds exact scalars only (int or Fraction)")
 
     @property
@@ -122,16 +123,16 @@ def _eliminate(res, p):
 
 
 def _kernel_mod(rows, p, ncols):
-    """Pivot columns and kernel of integer ``rows`` modulo the prime ``p``.
+    """Pivot columns, free columns and kernel of integer ``rows`` modulo the prime ``p``.
 
-    Returns (p, pivot columns, K) where K[i][j] is entry pivots[i] of the
-    kernel vector of free column j: -R[i][free j], R the reduced row echelon
-    form mod p.
+    Returns (p, pivot columns, free columns, K) where K[i][j] is entry
+    pivots[i] of the kernel vector of free column j: -R[i][free j], R the
+    reduced row echelon form mod p.
     """
     res = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
     pivot_rows, pivots = _eliminate(res, p)
     free = [c for c in range(ncols) if c not in pivots]
-    return p, pivots, -res[pivot_rows][:, free] % p
+    return p, pivots, free, -res[pivot_rows][:, free] % p
 
 
 def _crt(images):
@@ -155,10 +156,10 @@ def _rational(u, m):
     return Fraction(r1, s1)
 
 
-def _kernel_vectors(pivots, ncols, m, entries):
+def _kernel_vectors(pivots, free, m, entries):
     """Normalized kernel vectors from CRT-combined entries, or None if one fails."""
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(pivots) + len(free)
     for j, fc in enumerate(free):
         x = [0] * ncols
         x[fc] = 1
@@ -208,9 +209,9 @@ def nullspace(m: RationalMatrix):
     images = []
     while True:
         images.append(_kernel_mod(a, _prime(len(images)), ncols))
-        pivots = min((piv for _, piv, _ in images), key=lambda piv: (-len(piv), piv))
-        basis = _kernel_vectors(pivots, ncols,
-                                *_crt((p, k) for p, piv, k in images if piv == pivots))
+        _, pivots, free, _ = min(images, key=lambda image: (-len(image[1]), image[1]))
+        basis = _kernel_vectors(pivots, free,
+                                *_crt((p, k) for p, piv, _, k in images if piv == pivots))
         if basis is not None and not any(sum(map(mul, row, vec))
                                          for vec in basis for row in a):
             return basis

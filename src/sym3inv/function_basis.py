@@ -23,7 +23,6 @@ underlying mathematics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import NAMES, InvariantVector
@@ -32,30 +31,14 @@ from .tensor_core import FLOAT, field_of
 
 ELEVEN_NAMES = tuple(n for n in NAMES if n not in ("K6", "I8"))
 
-_ELEVEN_INDEX = {name: i for i, name in enumerate(ELEVEN_NAMES)}
-
 FLOAT_ZERO_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ElevenBasis:
+class ElevenBasis(InvariantVector):
     """Values of the eleven-invariant function basis, aligned with ELEVEN_NAMES."""
 
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != len(ELEVEN_NAMES):
-            raise ValueError(f"need {len(ELEVEN_NAMES)} values")
-
-    def __getitem__(self, name: str):
-        try:
-            return self.values[_ELEVEN_INDEX[name]]
-        except KeyError:
-            raise ValueError(f"{name!r} is not in ELEVEN_NAMES") from None
-
-    def as_dict(self) -> dict:
-        return dict(zip(ELEVEN_NAMES, self.values))
+    _names = ELEVEN_NAMES
+    _index = {name: i for i, name in enumerate(_names)}
 
     @classmethod
     def from_invariants(cls, iv: InvariantVector) -> "ElevenBasis":
@@ -114,7 +97,5 @@ def recover_full_vector(b: ElevenBasis) -> InvariantVector:
     """All thirteen invariant values from the eleven-basis values alone."""
     k6 = reconstruct_K6(b)
     i8 = reconstruct_I8(b, k6)
-    full = dict(b.as_dict())
-    full["K6"] = k6
-    full["I8"] = i8
+    full = {**b.as_dict(), "K6": k6, "I8": i8}
     return InvariantVector(tuple(full[n] for n in NAMES))

@@ -54,28 +54,29 @@ ODD_UNDER_FLIP = frozenset(n for n, (_, b) in BIDEGREE.items() if b % 2 == 1)
 
 DEVIATOR_INVARIANT_NAMES = ("I2", "I4", "I6", "I10")
 
-_INDEX = {name: i for i, name in enumerate(NAMES)}
-
 
 @dataclass(frozen=True)
 class InvariantVector:
-    """The thirteen invariant values, aligned with NAMES."""
+    """Invariant values aligned with ``_names``: the thirteen of NAMES here."""
 
     values: tuple
 
+    _names = NAMES
+    _index = {name: i for i, name in enumerate(_names)}
+
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != len(NAMES):
-            raise ValueError(f"need {len(NAMES)} values")
+        if len(self.values) != len(self._names):
+            raise ValueError(f"need {len(self._names)} values")
 
     def __getitem__(self, name: str):
         try:
-            return self.values[_INDEX[name]]
+            return self.values[self._index[name]]
         except KeyError:
-            raise ValueError(f"{name!r} is not in NAMES") from None
+            raise ValueError(f"{name!r} is not one of {self._names}") from None
 
     def as_dict(self) -> dict:
-        return dict(zip(NAMES, self.values))
+        return dict(zip(self._names, self.values))
 
     @staticmethod
     def degree(name: str) -> int:

@@ -84,19 +84,16 @@ def symmetric_eigh3(m):
     return eigenvalues, np.swapaxes(eigenvectors, -1, -2)
 
 
-@dataclass(frozen=True)
-class FeasiblePoint:
+def _defect(iv) -> float:
+    """Largest distance of I2 and J2 from 1."""
+    return max(abs(iv["I2"] - 1.0), abs(iv["J2"] - 1.0))
+
+
+class FeasiblePoint(HarmonicParts):
     """Unit-norm deviator plus unit vector: I2(D) = 1, J2(u) = 1."""
 
-    deviator: Traceless3Tensor
-    vector: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(self.vector))
-
     def feasibility_defect(self) -> float:
-        iv = all_invariants(HarmonicParts(self.deviator, self.vector))
-        return max(abs(iv["I2"] - 1.0), abs(iv["J2"] - 1.0))
+        return _defect(all_invariants(self))
 
 
 def objective(p: FeasiblePoint) -> float:
@@ -104,8 +101,8 @@ def objective(p: FeasiblePoint) -> float:
 
     Raises ValueError when I2 or J2 is further than FEASIBILITY_TOL from 1.
     """
-    iv = all_invariants(HarmonicParts(p.deviator, p.vector))
-    defect = max(abs(iv["I2"] - 1.0), abs(iv["J2"] - 1.0))
+    iv = all_invariants(p)
+    defect = _defect(iv)
     if defect > FEASIBILITY_TOL:
         raise ValueError(f"infeasible point (defect {defect:.3e} > {FEASIBILITY_TOL:.1e})")
     return 2.0 * iv["I2"] * iv["J2"] - 3.0 * iv["J4"]

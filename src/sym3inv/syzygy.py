@@ -7,13 +7,14 @@ building exact evaluation matrices at seeded random rational points, one per
 bidegree sector, and computing their nullspaces.
 
 Identity checking is by exact evaluation at random points rather than full
-symbolic expansion.  A nonzero polynomial of total degree <= 16 in the 10
-tensor variables vanishes at a uniform random integer point of a box of side
-2e6 with probability <= 16 / 2e6 (Schwartz-Zippel), so twenty independent
-exact zero evaluations leave no practical doubt; the evaluations carry no
-rounding, so a zero residual is a zero residual.  A full symbolic expansion
-cross-check is provided at degree <= 4 only (``symbolic_relation_vectors``),
-as a guard on the evaluation pipeline itself.
+symbolic expansion.  A nonzero polynomial of total degree d in the 10 tensor
+variables vanishes at a uniform random point of the integer box
+[-1e6, 1e6]^10 with probability <= d / (2e6 + 1) (Schwartz-Zippel): at most
+1e-5 up to degree 20, so twenty independent exact zero evaluations leave a
+chance of at most 1e-100; the evaluations carry no rounding, so a zero
+residual is a zero residual.  A full symbolic expansion cross-check is
+provided at degree <= 4 only (``symbolic_relation_vectors``), as a guard on
+the evaluation pipeline itself.
 
 Any polynomial identity among the invariants splits into bihomogeneous
 components, because every invariant is homogeneous separately in D and in u:
@@ -44,11 +45,13 @@ import random
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import relations
 from .exact_algebra import RationalMatrix, nullspace, rank
 from .function_basis import ELEVEN_NAMES
 from .invariants import BIDEGREE, DEGREE, NAMES, all_invariants
-from .tensor_core import HarmonicParts, Traceless3Tensor
+from .tensor_core import RATIONAL, HarmonicParts, Traceless3Tensor
 
 THIRTEEN = "thirteen"
 ELEVEN = "eleven"
@@ -86,7 +89,7 @@ class ProductTerm:
         return (a, b)
 
     def evaluate(self, values):
-        """Product of values[name] ** exponent; values may be a dict or InvariantVector."""
+        """Product of values[name] ** exponent; values may hold scalars or numpy columns."""
         out = 1
         for name, e in self.exponents:
             out = out * values[name] ** e
@@ -183,7 +186,7 @@ def evaluate_products(terms, h: HarmonicParts):
 
 def verify_relation(rel: SyzygyRelation, h: HarmonicParts):
     """Exact residual of a relation at a rational point (0 for a true identity)."""
-    if h.field != "rational":
+    if h.field != RATIONAL:
         raise ValueError("verify_relation needs exact rational input")
     iv = all_invariants(h)
     residual = 0
@@ -217,7 +220,9 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
         )
     rng = random.Random(f"{seed}:discover")
     points = [random_harmonic_parts(rng, DISCOVERY_BOUND) for _ in range(sample_count)]
-    values = [all_invariants(h) for h in points]
+    # one exact column per invariant, so each product is evaluated once per sector
+    values = np.array([all_invariants(h).values for h in points], dtype=object)
+    columns = dict(zip(NAMES, values.T))
 
     sectors = {}
     for t in terms:
@@ -228,7 +233,7 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
         sector = sectors[key]
         if len(sector) < 2:
             continue  # a single product cannot vanish identically
-        sub = RationalMatrix(tuple(tuple(t.evaluate(iv) for t in sector) for iv in values))
+        sub = RationalMatrix(tuple(zip(*(t.evaluate(columns) for t in sector))))
         for vec in nullspace(sub):
             found.append(SyzygyRelation(
                 tuple((c, t) for c, t in zip(vec, sector) if c), degree, basis))

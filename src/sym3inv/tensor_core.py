@@ -57,27 +57,40 @@ def field_of(values) -> str:
 
 
 @dataclass(frozen=True)
-class Sym3Tensor:
-    """Fully symmetric third-order 3D tensor, 10 independent components."""
+class _Tensor:
+    """Components of a symmetric 3D tensor, one per index triple of _INDICES."""
 
     components: tuple
 
+    _INDICES = ()
+
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != 10:
-            raise ValueError("Sym3Tensor needs exactly 10 components")
+        n = len(self._INDICES)
+        if len(self.components) != n:
+            raise ValueError(f"{type(self).__name__} needs exactly {n} components")
 
     @property
     def field(self) -> str:
         return field_of(self.components)
 
     @classmethod
-    def zero(cls) -> "Sym3Tensor":
-        return cls((0,) * 10)
+    def zero(cls):
+        return cls((0,) * len(cls._INDICES))
+
+    @classmethod
+    def _from_expanded(cls, t):
+        """The tensor whose stored components are read off the expansion t."""
+        return cls(tuple(t[i - 1][j - 1][k - 1] for (i, j, k) in cls._INDICES))
 
 
-@dataclass(frozen=True)
-class Traceless3Tensor:
+class Sym3Tensor(_Tensor):
+    """Fully symmetric third-order 3D tensor, 10 independent components."""
+
+    _INDICES = SYM_COMPONENT_INDICES
+
+
+class Traceless3Tensor(_Tensor):
     """Symmetric traceless third-order 3D tensor, 7 independent components.
 
     Tracelessness holds by construction: the dependent entries D133, D233,
@@ -85,24 +98,11 @@ class Traceless3Tensor:
     exact field (and to rounding in the float field).
     """
 
-    components: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != 7:
-            raise ValueError("Traceless3Tensor needs exactly 7 components")
-
-    @property
-    def field(self) -> str:
-        return field_of(self.components)
+    _INDICES = TRACELESS_COMPONENT_INDICES
 
     def dependent_components(self) -> tuple:
         d111, d112, d113, d122, _, d222, d223 = self.components
         return (-d111 - d122, -d112 - d222, -d113 - d223)  # D133, D233, D333
-
-    @classmethod
-    def zero(cls) -> "Traceless3Tensor":
-        return cls((0,) * 7)
 
 
 @dataclass(frozen=True)
@@ -198,18 +198,6 @@ def expand(t):
     return tuple([tuple([row(c) for row in plane]) for plane in _EXPANDED_ROWS])
 
 
-def _traceless_from_expanded(d):
-    return Traceless3Tensor(tuple(
-        d[i - 1][j - 1][k - 1] for (i, j, k) in TRACELESS_COMPONENT_INDICES
-    ))
-
-
-def _sym_from_expanded(a):
-    return Sym3Tensor(tuple(
-        a[i - 1][j - 1][k - 1] for (i, j, k) in SYM_COMPONENT_INDICES
-    ))
-
-
 def _shift_trace_part(t, u, field, sign):
     """Expanded t_ijk + sign * (1/5)(u_k d_ij + u_j d_ik + u_i d_jk).
 
@@ -226,12 +214,20 @@ def decompose(a: Sym3Tensor) -> HarmonicParts:
     """Harmonic decomposition A -> (D, u) with u_i = A_ill."""
     t = expand(a)
     u = tuple(sum(t[i][l][l] for l in range(3)) for i in range(3))
-    return HarmonicParts(_traceless_from_expanded(_shift_trace_part(t, u, a.field, -1)), u)
+    return HarmonicParts(
+        Traceless3Tensor._from_expanded(_shift_trace_part(t, u, a.field, -1)), u)
 
 
 def recompose(h: HarmonicParts) -> Sym3Tensor:
     """Inverse of decompose: A_ijk = D_ijk + (1/5)(u_k d_ij + u_j d_ik + u_i d_jk)."""
-    return _sym_from_expanded(_shift_trace_part(expand(h.deviator), h.vector, h.field, 1))
+    return Sym3Tensor._from_expanded(
+        _shift_trace_part(expand(h.deviator), h.vector, h.field, 1))
+
+
+def _contract_last(m, t):
+    """result_kij = m_kc t_ijc: contract the last index with m, then move it first."""
+    rng = range(3)
+    return [[[sum(m[k][c] * t[i][j][c] for c in rng) for j in rng] for i in rng] for k in rng]
 
 
 def rotate(t, q: Orthogonal3):
@@ -239,22 +235,14 @@ def rotate(t, q: Orthogonal3):
 
     Accepts a Sym3Tensor or a Traceless3Tensor and returns the same type
     (the transform preserves both symmetry and tracelessness).  The
-    contraction runs one index at a time on the full 27-entry expansion,
-    which agrees exactly with the naive triple-sum.
+    contraction runs one index at a time on the full 27-entry expansion
+    (third, second, first), which agrees exactly with the naive triple-sum.
     """
     q.validate()
-    m = q.matrix
     a = expand(t)
-    # contract third index, then second, then first
-    t1 = [[[sum(m[k][c] * a[i][j][c] for c in range(3)) for k in range(3)]
-           for j in range(3)] for i in range(3)]
-    t2 = [[[sum(m[j][b] * t1[i][b][k] for b in range(3)) for k in range(3)]
-           for j in range(3)] for i in range(3)]
-    t3 = [[[sum(m[i][a_] * t2[a_][j][k] for a_ in range(3)) for k in range(3)]
-           for j in range(3)] for i in range(3)]
-    if isinstance(t, Sym3Tensor):
-        return _sym_from_expanded(t3)
-    return _traceless_from_expanded(t3)
+    for _ in range(3):
+        a = _contract_last(q.matrix, a)
+    return type(t)._from_expanded(a)
 
 
 def rotate_vector(u, q: Orthogonal3) -> tuple:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sym3inv.exact_algebra import (
@@ -130,8 +131,9 @@ def test_ragged_and_empty_rejected():
         RationalMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         RationalMatrix([])
-    with pytest.raises(TypeError):
-        RationalMatrix([[0.5, 1.0]])
+    for row in ([0.5, 1.0], [1, np.float64(2.0)]):
+        with pytest.raises(TypeError):
+            RationalMatrix([row])
 
 
 def test_pure_python_int_fallback_matches():

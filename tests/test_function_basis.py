@@ -9,6 +9,7 @@ from sym3inv import (
     ELEVEN_NAMES,
     ElevenBasis,
     HarmonicParts,
+    InvariantVector,
     Traceless3Tensor,
     all_invariants,
     reconstruct_I8,
@@ -36,6 +37,9 @@ def test_eleven_names():
     assert ELEVEN_NAMES == ("I2", "J2", "I4", "J4", "K4", "L4", "I6", "J6", "L6", "M6", "I10")
     b = ElevenBasis(tuple(range(11)))
     assert [b[name] for name in ELEVEN_NAMES] == list(range(11))
+    assert isinstance(b, InvariantVector) and b.as_dict() == dict(zip(ELEVEN_NAMES, range(11)))
+    with pytest.raises(ValueError):
+        ElevenBasis(tuple(range(13)))
     with pytest.raises(ValueError):
         b["K6"]
 

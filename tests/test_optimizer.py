@@ -147,6 +147,15 @@ def test_objective_range_on_feasible_points():
         assert -1e-12 <= value <= 2 + 1e-12
 
 
+def test_feasible_point_is_harmonic_parts_with_a_3_vector():
+    d = unit_deviator(1)
+    p = FeasiblePoint(d, [0.0, 0.6, 0.8])
+    assert isinstance(p, HarmonicParts) and p.vector == (0.0, 0.6, 0.8)
+    assert p.feasibility_defect() < 1e-12
+    with pytest.raises(ValueError):
+        FeasiblePoint(d, (1.0, 0.0))
+
+
 def test_objective_rejects_infeasible():
     d = Traceless3Tensor((2.0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):

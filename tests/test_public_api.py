@@ -1,0 +1,21 @@
+"""The package's public names: none is added or removed without this list changing."""
+
+import sym3inv
+
+PUBLIC_NAMES = [
+    "BIDEGREE", "DEGREE", "ELEVEN_NAMES", "EVEN_UNDER_FLIP", "ElevenBasis", "FLOAT",
+    "FeasiblePoint", "HarmonicParts", "InvariantVector", "NAMES", "ODD_UNDER_FLIP",
+    "Orthogonal3", "ProductTerm", "RATIONAL", "Sym3Tensor", "SyzygyRelation",
+    "Traceless3Tensor", "WITNESS_CASES", "__version__", "all_invariants",
+    "builtin_relations", "check_witness", "decompose", "deviator_invariants",
+    "discover_relations", "enumerate_products", "evaluate_products", "expand", "in_span",
+    "inner_solve_u", "invariants_of", "load_tensor", "minimize", "objective",
+    "random_orthogonal", "random_sym3", "recompose", "reconstruct_I8", "reconstruct_K6",
+    "reference_invariants", "rotate", "save_tensor", "verify_relation", "witness_tensor",
+]
+
+
+def test_public_names_are_frozen_and_resolve():
+    assert sorted(sym3inv.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(sym3inv, name) is not None

@@ -277,6 +277,39 @@ def test_discovery_reproduces_builtins_coefficient_for_coefficient():
         assert _normalized_vector(rels[name], t16) in found16
 
 
+def test_discovery_matrices_hold_each_product_at_each_sample(monkeypatch):
+    # the sector matrices come from whole invariant columns; every entry must
+    # equal the product evaluated at its own sample point, as a Python int
+    import sym3inv.syzygy as syz
+
+    points, matrices = [], []
+    original_nullspace = syz.nullspace
+
+    def recording_invariants(h):
+        points.append(h)
+        return all_invariants(h)
+
+    def recording_nullspace(m):
+        matrices.append(m)
+        return original_nullspace(m)
+
+    monkeypatch.setattr(syz, "all_invariants", recording_invariants)
+    monkeypatch.setattr(syz, "nullspace", recording_nullspace)
+    terms = enumerate_products(ELEVEN, 16)
+    samples = len(terms) + 10
+    assert len(discover_relations(ELEVEN, 16, seed=3, sample_count=samples)) == 3
+
+    sectors = {}
+    for t in terms:
+        sectors.setdefault(t.bidegree, []).append(t)
+    sectors = [sectors[key] for key in sorted(sectors) if len(sectors[key]) > 1]
+    values = [all_invariants(h) for h in points[:samples]]
+    assert len(matrices) == len(sectors)
+    for m, sector in zip(matrices, sectors):
+        assert m.entries == tuple(tuple(t.evaluate(iv) for t in sector) for iv in values)
+        assert all(type(e) is int for row in m.entries for e in row)
+
+
 def _times(rel, name):
     """The relation multiplied by the invariant ``name``."""
     table = {}

@@ -26,6 +26,8 @@ from sym3inv import (
     save_tensor,
 )
 from sym3inv.tensor_core import (
+    SYM_COMPONENT_INDICES,
+    TRACELESS_COMPONENT_INDICES,
     TensorFormatError,
     orthonormalize,
     parse_rational,
@@ -56,6 +58,18 @@ def rotate_naive(t, q):
         ]
         for i in range(3)
     ]
+
+
+def rotate_three_passes(t, q):
+    """Sequential reference: contract the third index, then the second, then the first."""
+    m = q.matrix
+    a = expand(t)
+    rng = range(3)
+    t1 = [[[sum(m[k][c] * a[i][j][c] for c in rng) for k in rng] for j in rng] for i in rng]
+    t2 = [[[sum(m[j][b] * t1[i][b][k] for b in rng) for k in rng] for j in rng] for i in rng]
+    t3 = [[[sum(m[i][b] * t2[b][j][k] for b in rng) for k in rng] for j in rng] for i in rng]
+    indices = SYM_COMPONENT_INDICES if isinstance(t, Sym3Tensor) else TRACELESS_COMPONENT_INDICES
+    return tuple(t3[i - 1][j - 1][k - 1] for i, j, k in indices)
 
 
 # ---- expand ----
@@ -245,6 +259,17 @@ def test_rotate_matches_naive_oracle_float():
         naive = rotate_naive(a, q)
         assert all(abs(t[i][j][k] - naive[i][j][k]) < 1e-12
                    for i in range(3) for j in range(3) for k in range(3))
+
+
+def test_rotate_float_equals_three_pass_reference_bit_for_bit():
+    rng = random.Random(12)
+    for seed in range(40):
+        q = random_orthogonal(seed + 200, 1 if seed % 2 else -1)
+        for t in (random_sym3(seed, FLOAT, 5),
+                  Traceless3Tensor(tuple(rng.uniform(-5, 5) for _ in range(7)))):
+            rotated = rotate(t, q)
+            assert type(rotated) is type(t)
+            assert rotated.components == rotate_three_passes(t, q)
 
 
 def test_rotate_traceless_stays_traceless():
