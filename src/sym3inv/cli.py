@@ -25,6 +25,7 @@ from .function_basis import ElevenBasis, reconstruct_I8, reconstruct_K6
 from .invariants import NAMES, invariants_of
 from .optimizer import minimize
 from .syzygy import (
+    DISCOVERY_BOUND,
     ELEVEN,
     THIRTEEN,
     builtin_relations,
@@ -138,7 +139,7 @@ def cmd_reconstruct(args):
 
 def cmd_verify_syzygies(args):
     rng = random.Random(f"{args.seed}:verify")
-    points = [random_harmonic_parts(rng, 9) for _ in range(args.samples)]
+    points = [random_harmonic_parts(rng, DISCOVERY_BOUND) for _ in range(args.samples)]
     results = {}
     ok = True
     for name, rel in builtin_relations().items():

@@ -87,6 +87,8 @@ def _prime(k: int) -> int:
 
 def _integer_rows(m: RationalMatrix):
     """Clear denominators row by row (row scaling leaves rank and nullspace alone)."""
+    if set(map(type, chain.from_iterable(m.entries))) <= {int}:
+        return m.entries
     out = []
     for row in m.entries:
         scale = lcm(*(e.denominator for e in row))

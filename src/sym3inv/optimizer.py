@@ -12,7 +12,8 @@ map and the contractions are einsums and M(D) is diagonalized by
 np.linalg.eigh over the stack.  Each start carries its Armijo step from one
 iteration to the next, accepts only a strict decrease, and stops when its
 gradient vanishes (GRAD_TOL) or its step underflows, i.e. when no descent is
-left at working precision.
+left at working precision.  The best point's u is the descent's final top
+eigenvector.  The sampler evaluates 2 - 3 |D.u|^2 on the same expansion.
 
 This module certifies *consistency* with the 0.2 minimum claim - multi-start
 local search plus large-sample probing - not global optimality.
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import all_invariants
-from .tensor_core import (
-    TRACELESS_COMPONENT_INDICES,
-    HarmonicParts,
-    Traceless3Tensor,
-    expand,
-    orthonormalize,
-)
+from .tensor_core import HarmonicParts, Traceless3Tensor, expand, orthonormalize
 
 GRAD_TOL = 1e-9
 EIGEN_GAP_TOL = 1e-8
@@ -55,9 +50,6 @@ _BASIS = np.array(orthonormalize(
     for unit in np.eye(7).tolist()
 ))
 
-# flat index 9i+3j+k (zero-based) of each stored deviator component, for coordinate readback
-_INDEP_FLAT = [9 * (i - 1) + 3 * (j - 1) + (k - 1) for i, j, k in TRACELESS_COMPONENT_INDICES]
-
 
 def _expand(x):
     """27-entry expansions sum_a x[..., a] * basis[a] of coordinates x (..., 7).
@@ -70,7 +62,8 @@ def _expand(x):
 
 def deviator_from_coords(x) -> Traceless3Tensor:
     """Deviator whose 27-entry expansion is sum_a x[a] * basis[a]."""
-    return Traceless3Tensor(tuple(_expand(np.asarray(x, dtype=float))[_INDEP_FLAT].tolist()))
+    return Traceless3Tensor._from_expanded(
+        _expand(np.asarray(x, dtype=float)).reshape(3, 3, 3).tolist())
 
 
 def coords_from_deviator(d: Traceless3Tensor):
@@ -152,8 +145,9 @@ def _descend(x, iters, rngs):
     its step falls to 1e-16 (no descent at working precision).  rngs[s]
     draws the nudges of start s, so each row follows the trajectory it would
     follow alone.  Returns the final coordinates, values and gradient norms,
-    and per start the iterations that moved it (steps and nudges) and the
-    rejected candidates (backtracks).
+    per start the iterations that moved it (steps and nudges) and the
+    rejected candidates (backtracks), and the final top eigenvectors (the
+    optimal u of each row).
     """
     x = np.array(x, dtype=float)
     n = len(x)
@@ -188,8 +182,8 @@ def _descend(x, iters, rngs):
             step[pending] *= ARMIJO_SHRINK
             running[pending[step[pending] <= 1e-16]] = False
             pending = pending[step[pending] > 1e-16]
-    f, grad, _, _ = _evaluate(x)
-    return x, f, np.sqrt(np.einsum("na,na->n", grad, grad)), moves, backtracks
+    f, grad, _, w = _evaluate(x)
+    return x, f, np.sqrt(np.einsum("na,na->n", grad, grad)), moves, backtracks, w
 
 
 @dataclass(frozen=True)
@@ -209,10 +203,9 @@ class MinimizeResult:
 
 def _result(descent, s):
     """MinimizeResult for row s of a _descend output."""
-    x, f, grad_norm, moves, backtracks = descent
-    d = deviator_from_coords(x[s])
-    u, _ = inner_solve_u(d)
-    return MinimizeResult(FeasiblePoint(d, u), float(f[s]), float(grad_norm[s]),
+    x, f, grad_norm, moves, backtracks, w = descent
+    return MinimizeResult(FeasiblePoint(deviator_from_coords(x[s]), tuple(w[s].tolist())),
+                          float(f[s]), float(grad_norm[s]),
                           int(moves.sum()), int(backtracks.sum()))
 
 
@@ -238,7 +231,7 @@ def sample_feasible_values(seed: int, count: int) -> np.ndarray:
 
     Draws Gaussian deviator coordinates and vectors, normalizes both to the
     unit sphere (this is the homogeneity normalization of arbitrary pairs),
-    and evaluates 2 - 3 u^T M(D) u.
+    and evaluates 2 - 3 J4 with J4 = sum_ij (D_ijk u_k)^2 = |D.u|^2.
     """
     rng = np.random.default_rng(seed)
     out = np.empty(count)
@@ -247,11 +240,9 @@ def sample_feasible_values(seed: int, count: int) -> np.ndarray:
         n = min(SAMPLE_CHUNK, count - done)
         x = rng.standard_normal((n, 7))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        flat = (x @ _BASIS).reshape(n, 9, 3)
-        m = np.einsum("nak,nal->nkl", flat, flat)
         u = rng.standard_normal((n, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        j4 = np.einsum("nk,nkl,nl->n", u, m, u)
-        out[done:done + n] = 2.0 - 3.0 * j4
+        du = np.einsum("nak,nk->na", _expand(x).reshape(n, 9, 3), u)
+        out[done:done + n] = 2.0 - 3.0 * np.einsum("na,na->n", du, du)
         done += n
     return out

@@ -247,13 +247,9 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
             kept.append(rel)
         else:
             warnings.warn(f"discarding spurious candidate relation: {rel}")
-    kept.sort(key=lambda r: _leading_index(r, terms))
+    # a relation's terms follow the enumeration, so its first term leads
+    kept.sort(key=lambda r: terms.index(r.terms[0][1]))
     return kept
-
-
-def _leading_index(rel: SyzygyRelation, terms) -> int:
-    table = rel.coefficient_table()
-    return next(i for i, t in enumerate(terms) if t.exponents in table)
 
 
 def coefficient_vector(rel: SyzygyRelation, terms):

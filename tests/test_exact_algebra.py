@@ -8,6 +8,7 @@ import pytest
 
 from sym3inv.exact_algebra import (
     RationalMatrix,
+    _integer_rows,
     normalize_integer_vector,
     nullspace,
     rank,
@@ -82,6 +83,21 @@ def test_fraction_entries():
     m = RationalMatrix([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]])
     assert rank(m) == 1
     assert nullspace(m) == [(2, -3)]
+
+
+def test_integer_rows_returns_an_int_matrix_as_it_is():
+    m = RationalMatrix([[1, -2, 3], [4, 0, 6]])
+    assert _integer_rows(m) is m.entries
+
+
+def test_integer_rows_clears_fraction_denominators_row_by_row():
+    m = RationalMatrix([[F(1, 2), F(1, 3), 1], [2, 4, 6], [F(-3, 4), 0, F(5, 6)]])
+    rows = _integer_rows(m)
+    assert rows == [[3, 2, 6], [2, 4, 6], [-9, 0, 10]]
+    assert all(type(e) is int for row in rows for e in row)
+    for row, ints in zip(m.entries, rows):
+        scale = F(ints[0]) / row[0]
+        assert all(e * scale == i for e, i in zip(row, ints))
 
 
 def test_normalization_contract():

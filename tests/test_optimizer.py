@@ -16,6 +16,7 @@ from sym3inv import (
     objective,
 )
 from sym3inv.optimizer import (
+    SAMPLE_CHUNK,
     _descend,
     _evaluate,
     _normalize,
@@ -265,6 +266,33 @@ def test_sampled_objective_floor_and_nonnegativity():
     assert values.min() >= 0.2 - 1e-6
     assert values.min() >= -1e-9  # the gap inequality, normalized form
     assert values.max() <= 2 + 1e-12
+
+
+def test_sampled_values_are_the_gap_at_the_drawn_pairs():
+    # rebuild each pair from the generator in the sampler's draw order (per
+    # chunk the (n, 7) deviator block, then the (n, 3) vector block) and
+    # evaluate the gap through the invariants, across a chunk boundary
+    seed, count = 31, SAMPLE_CHUNK + 3
+    values = sample_feasible_values(seed, count)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for n in (SAMPLE_CHUNK, 3):
+        x = rng.standard_normal((n, 7))
+        u = rng.standard_normal((n, 3))
+        pairs += zip(x / np.linalg.norm(x, axis=1, keepdims=True),
+                     u / np.linalg.norm(u, axis=1, keepdims=True))
+    for i in (0, 1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 2):
+        x, u = pairs[i]
+        iv = all_invariants(HarmonicParts(deviator_from_coords(x), tuple(u.tolist())))
+        assert abs(values[i] - (2 * iv["I2"] * iv["J2"] - 3 * iv["J4"])) < 1e-12, i
+
+
+def test_best_point_vector_is_the_optimal_u_of_its_deviator():
+    res = minimize(seed=2024, starts=20, iters=500)
+    u, _ = inner_solve_u(res.point.deviator)
+    sign = 1.0 if np.dot(res.point.vector, u) > 0 else -1.0
+    assert np.abs(np.array(res.point.vector) - sign * np.array(u)).max() < 1e-12
+    assert abs(objective(res.point) - res.value) < 1e-12
 
 
 def test_equality_characterization_sampled():

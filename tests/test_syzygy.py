@@ -225,6 +225,11 @@ def test_discovery_counts_over_the_thirteen(degree, count):
     assert len(found) == count
     for rel in found:
         assert len({t.bidegree for _, t in rel.terms}) == 1
+    # each relation lists its terms in enumeration order, so its first term
+    # is its leading product, and the relations are sorted by that product
+    indices = [[terms.index(t) for _, t in rel.terms] for rel in found]
+    assert all(ix == sorted(ix) for ix in indices)
+    assert [ix[0] for ix in indices] == sorted(ix[0] for ix in indices)
 
 
 def test_in_span_rejects_outsiders():
