@@ -28,9 +28,9 @@ from .syzygy import (
     DISCOVERY_BOUND,
     ELEVEN,
     THIRTEEN,
+    _random_columns,
     builtin_relations,
     discover_relations,
-    random_harmonic_parts,
     verify_relation,
 )
 from .tensor_core import (
@@ -139,11 +139,11 @@ def cmd_reconstruct(args):
 
 def cmd_verify_syzygies(args):
     rng = random.Random(f"{args.seed}:verify")
-    points = [random_harmonic_parts(rng, DISCOVERY_BOUND) for _ in range(args.samples)]
+    points = _random_columns(rng, DISCOVERY_BOUND, args.samples)
     results = {}
     ok = True
     for name, rel in builtin_relations().items():
-        residuals = [verify_relation(rel, h) for h in points]
+        residuals = verify_relation(rel, points)
         worst = max(residuals, key=abs)
         results[name] = {
             "degree": rel.degree,

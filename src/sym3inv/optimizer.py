@@ -202,9 +202,16 @@ class MinimizeResult:
 
 
 def _result(descent, s):
-    """MinimizeResult for row s of a _descend output."""
+    """MinimizeResult for row s of a _descend output.
+
+    The eigenvector u is fixed only up to sign, and J4 is even in u; the
+    result takes the sign that makes u's first nonzero component positive.
+    """
     x, f, grad_norm, moves, backtracks, w = descent
-    return MinimizeResult(FeasiblePoint(deviator_from_coords(x[s]), tuple(w[s].tolist())),
+    u = w[s]
+    if u[np.flatnonzero(u)[0]] < 0:
+        u = -u
+    return MinimizeResult(FeasiblePoint(deviator_from_coords(x[s]), tuple(u.tolist())),
                           float(f[s]), float(grad_norm[s]),
                           int(moves.sum()), int(backtracks.sum()))
 

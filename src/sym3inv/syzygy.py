@@ -37,6 +37,13 @@ certificate: it tests each candidate at fresh points from a much larger box.
 Sampling boxes: discovery points use integer entries in [-9, 9] to keep the
 matrix entries, and with them the certificate's exact products, small;
 re-verification points use [-1e6, 1e6] to drive the Schwartz-Zippel bound.
+
+Both point sets are evaluated as columns: ``_random_columns`` stacks n
+successive draws into one ``HarmonicParts`` whose ten coordinates are numpy
+object arrays of Python ints, so a single ``all_invariants`` call gives
+every invariant at every point, and ``verify_relation`` on that point gives
+one exact residual per point.  The draws, and with them the sample matrices
+and kernels, are those of n successive ``random_harmonic_parts`` calls.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from . import relations
 from .exact_algebra import RationalMatrix, nullspace, rank
 from .function_basis import ELEVEN_NAMES
 from .invariants import BIDEGREE, DEGREE, NAMES, all_invariants
-from .tensor_core import RATIONAL, HarmonicParts, Traceless3Tensor
+from .tensor_core import RATIONAL, HarmonicParts, Traceless3Tensor, field_of
 
 THIRTEEN = "thirteen"
 ELEVEN = "eleven"
@@ -185,8 +192,13 @@ def evaluate_products(terms, h: HarmonicParts):
 
 
 def verify_relation(rel: SyzygyRelation, h: HarmonicParts):
-    """Exact residual of a relation at a rational point (0 for a true identity)."""
-    if h.field != RATIONAL:
+    """Exact residual of a relation at a rational point (0 for a true identity).
+
+    With column input (see ``_random_columns``) the residual is a column
+    too, one entry per point.
+    """
+    coords = h.deviator.components + h.vector
+    if field_of(x for c in coords for x in np.ravel(c).tolist()) != RATIONAL:
         raise ValueError("verify_relation needs exact rational input")
     iv = all_invariants(h)
     residual = 0
@@ -200,6 +212,18 @@ def random_harmonic_parts(rng: random.Random, bound: int) -> HarmonicParts:
     dev = Traceless3Tensor(tuple(rng.randint(-bound, bound) for _ in range(7)))
     u = tuple(rng.randint(-bound, bound) for _ in range(3))
     return HarmonicParts(dev, u)
+
+
+def _random_columns(rng: random.Random, bound: int, n: int) -> HarmonicParts:
+    """n successive ``random_harmonic_parts`` draws as one point of columns.
+
+    Each of the ten coordinates is a length-n numpy object array of Python
+    ints, entry i from draw i.  ``all_invariants`` contracts such columns
+    exactly as it contracts scalars, so one call evaluates all n points.
+    """
+    draws = [random_harmonic_parts(rng, bound) for _ in range(n)]
+    coords = np.array([h.deviator.components + h.vector for h in draws], dtype=object).T
+    return HarmonicParts(Traceless3Tensor(tuple(coords[:7])), tuple(coords[7:]))
 
 
 def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
@@ -218,11 +242,9 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
         raise ValueError(
             f"sample_count must be >= {len(terms) + 10} for {len(terms)} products"
         )
-    rng = random.Random(f"{seed}:discover")
-    points = [random_harmonic_parts(rng, DISCOVERY_BOUND) for _ in range(sample_count)]
+    points = _random_columns(random.Random(f"{seed}:discover"), DISCOVERY_BOUND, sample_count)
     # one exact column per invariant, so each product is evaluated once per sector
-    values = np.array([all_invariants(h).values for h in points], dtype=object)
-    columns = dict(zip(NAMES, values.T))
+    columns = all_invariants(points).as_dict()
 
     sectors = {}
     for t in terms:
@@ -238,12 +260,10 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
             found.append(SyzygyRelation(
                 tuple((c, t) for c, t in zip(vec, sector) if c), degree, basis))
 
-    reverify_rng = random.Random(f"{seed}:reverify")
-    fresh = [random_harmonic_parts(reverify_rng, REVERIFY_BOUND)
-             for _ in range(REVERIFY_POINTS)]
+    fresh = _random_columns(random.Random(f"{seed}:reverify"), REVERIFY_BOUND, REVERIFY_POINTS)
     kept = []
     for rel in found:
-        if all(verify_relation(rel, h) == 0 for h in fresh):
+        if all(r == 0 for r in verify_relation(rel, fresh)):
             kept.append(rel)
         else:
             warnings.warn(f"discarding spurious candidate relation: {rel}")

@@ -227,6 +227,13 @@ def test_minimize_never_below_floor_across_seeds():
         assert res.value >= 0.2 - 1e-6
 
 
+def test_minimize_vector_has_a_canonical_sign():
+    # u and -u give the same objective; the first nonzero component is positive
+    for seed, starts, iters in ((2024, 20, 500), (7, 30, 300), (11, 5, 100)):
+        u = minimize(seed=seed, starts=starts, iters=iters).point.vector
+        assert next(x for x in u if x != 0) > 0, (seed, u)
+
+
 def test_minimize_validates_arguments():
     with pytest.raises(ValueError):
         minimize(seed=1, starts=0, iters=10)

@@ -25,6 +25,7 @@ from sym3inv.syzygy import (
     BASIS_NAMES,
     ELEVEN,
     THIRTEEN,
+    _random_columns,
     coefficient_vector,
     random_harmonic_parts,
     relation_from_table,
@@ -177,6 +178,60 @@ def test_verify_relation_rejects_float_input():
         verify_relation(builtin_relations()["ten_a"], h)
 
 
+def test_verify_relation_rejects_float_columns():
+    ints = _random_columns(random.Random(32), 9, 5)
+    for dtype in (float, object):
+        floats = ints.deviator.components[0].astype(float).astype(dtype)
+        h = HarmonicParts(Traceless3Tensor((floats,) + ints.deviator.components[1:]),
+                          ints.vector)
+        with pytest.raises(ValueError):
+            verify_relation(builtin_relations()["ten_a"], h)
+
+
+# ---- column evaluation ----
+
+def _point(columns, i):
+    """Point i of a HarmonicParts whose coordinates are columns."""
+    return HarmonicParts(Traceless3Tensor(tuple(c[i] for c in columns.deviator.components)),
+                         tuple(c[i] for c in columns.vector))
+
+
+def test_random_columns_draw_the_points_of_successive_calls():
+    rng = random.Random(33)
+    expected = [random_harmonic_parts(rng, 9) for _ in range(12)]
+    columns = _random_columns(random.Random(33), 9, 12)
+    assert [_point(columns, i) for i in range(12)] == expected
+    coords = columns.deviator.components + columns.vector
+    assert all(c.dtype == object and type(x) is int for c in coords for x in c)
+
+
+@pytest.mark.parametrize("bound", [9, 10 ** 6])
+def test_column_invariants_equal_pointwise_invariants(bound):
+    columns = _random_columns(random.Random(34), bound, 15)
+    stacked = all_invariants(columns)
+    for i in range(15):
+        pointwise = all_invariants(_point(columns, i))
+        assert tuple(c[i] for c in stacked.values) == pointwise.values
+        assert all(type(c[i]) is int for c in stacked.values)
+    if bound == 10 ** 6:
+        # I8 and I10 leave int64 at this bound: the columns must stay exact
+        assert max(abs(x) for x in stacked["I10"]) > 2 ** 63
+        assert max(abs(x) for x in stacked["I8"]) > 2 ** 63
+
+
+def test_verify_relation_on_columns_gives_pointwise_residuals():
+    rel = builtin_relations()["ten_b"]
+    coeff0, term0 = rel.terms[0]
+    corrupted = SyzygyRelation(((coeff0 + 1, term0),) + rel.terms[1:],
+                               rel.degree, rel.basis)
+    columns = _random_columns(random.Random(35), 10 ** 6, 8)
+    for r in (rel, corrupted):
+        residuals = verify_relation(r, columns)
+        assert list(residuals) == [verify_relation(r, _point(columns, i)) for i in range(8)]
+    assert all(x == 0 for x in verify_relation(rel, columns))
+    assert all(x != 0 for x in verify_relation(corrupted, columns))
+
+
 # ---- discovery ----
 
 def test_discovery_empty_at_degree_4():
@@ -308,7 +363,8 @@ def test_discovery_matrices_hold_each_product_at_each_sample(monkeypatch):
     for t in terms:
         sectors.setdefault(t.bidegree, []).append(t)
     sectors = [sectors[key] for key in sorted(sectors) if len(sectors[key]) > 1]
-    values = [all_invariants(h) for h in points[:samples]]
+    # the first call evaluates all samples at once; split its columns into points
+    values = [all_invariants(_point(points[0], i)) for i in range(samples)]
     assert len(matrices) == len(sectors)
     for m, sector in zip(matrices, sectors):
         assert m.entries == tuple(tuple(t.evaluate(iv) for t in sector) for iv in values)
