@@ -3,20 +3,28 @@
 ``nullspace`` returns the reduced echelon basis of the kernel over Q, but
 eliminates only modulo word-size primes and then proves the result exact
 (the multi-modular method: von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 5; rational reconstruction after Wang):
+Algebra, ch. 5; rational reconstruction after Wang).  It reads three things
+from its matrix: ``cols``, ``residues(p)`` (the rows, each scaled to
+integers, modulo p as an int64 array; row scaling leaves the kernel alone)
+and ``row_bits`` (every scaled row has l1 norm below 2^row_bits).
+``RationalMatrix`` derives them from its entries; a caller that knows its
+rows' residues and size another way can pass any object that has them.
 
-1. Rows are scaled to integers; row scaling leaves the kernel alone.
-2. All rows are brought to reduced row echelon form modulo primes
+1. All rows are brought to reduced row echelon form modulo primes
    2^31 - 1 = p0 > p1 > ..., in numpy int64 (a product of two residues stays
    below 2^62).  Each prime gives pivot columns and, for each free column f,
    the kernel vector with x_f = 1 and zeros at the other free columns.  A
    prime whose pivots differ from the best seen (the most pivots, then the
    leftmost) is unlucky and left out; the others are combined by Chinese
    remaindering, and each entry is rationally reconstructed.
-3. Each vector, scaled to coprime integers, is checked with exact integer
-   dot products against every row of the matrix.  An entry that does not
-   reconstruct, or a row that fails, asks for one more prime.
+2. Each vector v, scaled to coprime integers, is certified against every
+   row: row . v = 0 is checked modulo p0, p1, ... until their product
+   reaches 2^(row_bits + bitlen |v|_inf).  An entry that does not
+   reconstruct, or a residue that is not zero, asks for one more prime.
 
+Why the certificate is a proof: |row . v| <= |row|_1 |v|_inf is below
+2^(row_bits + bitlen |v|_inf), hence below the product of the primes, and
+an integer below a modulus in absolute value that the modulus divides is 0.
 Why a certified basis is exact: the vectors lie in the kernel over Q, are
 independent, and number cols - rank_p, while rank_p <= rank over Q.  So
 they span the kernel.  Vector f is supported on f and on pivot columns left
@@ -32,10 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import mul
 
 import numpy as np
 
@@ -71,6 +78,24 @@ class RationalMatrix:
     def multiply_vector(self, x):
         return tuple(sum(a * b for a, b in zip(row, x)) for row in self.entries)
 
+    @cached_property
+    def _integer_rows(self):
+        """Rows with denominators cleared row by row."""
+        out = []
+        for row in self.entries:
+            scale = lcm(*(e.denominator for e in row))
+            out.append([int(e * scale) for e in row])
+        return out
+
+    def residues(self, p: int):
+        """The integer rows modulo ``p``, as an int64 array."""
+        return np.array([[x % p for x in row] for row in self._integer_rows], dtype=np.int64)
+
+    @property
+    def row_bits(self) -> int:
+        """Bit length of the largest l1 norm of an integer row."""
+        return max(sum(map(abs, row)) for row in self._integer_rows).bit_length()
+
 
 # The first prime of the sequence.
 _PRIME = 2 ** 31 - 1
@@ -83,17 +108,6 @@ def _prime(k: int) -> int:
     while any(n % d == 0 for d in range(3, isqrt(n) + 1, 2)):
         n -= 2
     return n
-
-
-def _integer_rows(m: RationalMatrix):
-    """Clear denominators row by row (row scaling leaves rank and nullspace alone)."""
-    if set(map(type, chain.from_iterable(m.entries))) <= {int}:
-        return m.entries
-    out = []
-    for row in m.entries:
-        scale = lcm(*(e.denominator for e in row))
-        out.append([int(e * scale) for e in row] if scale > 1 else list(map(int, row)))
-    return out
 
 
 def _eliminate(res, p):
@@ -117,21 +131,22 @@ def _eliminate(res, p):
         res[i, c:] = res[i, c:] * pow(int(res[i, c]), -1, p) % p
         f = res[:, c].copy()
         f[i] = 0
-        # row i is zero left of column c, so those columns need no update
-        res[:, c:] = (res[:, c:] - f[:, None] * res[i, c:] % p) % p
+        # row i is zero left of column c, so those columns need no update;
+        # |f * res[i]| < p^2 < 2^62, so one reduction after the subtraction suffices
+        res[:, c:] = (res[:, c:] - f[:, None] * res[i, c:]) % p
         rows.append(i)
         cols.append(c)
     return rows, cols
 
 
-def _kernel_mod(rows, p, ncols):
-    """Pivot columns, free columns and kernel of integer ``rows`` modulo the prime ``p``.
+def _kernel_mod(p, res, ncols):
+    """Pivot columns, free columns and kernel of the residue matrix ``res`` modulo ``p``.
 
     Returns (p, pivot columns, free columns, K) where K[i][j] is entry
     pivots[i] of the kernel vector of free column j: -R[i][free j], R the
-    reduced row echelon form mod p.
+    reduced row echelon form mod p.  ``res`` itself is left as it is.
     """
-    res = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    res = res.copy()
     pivot_rows, pivots = _eliminate(res, p)
     free = [c for c in range(ncols) if c not in pivots]
     return p, pivots, free, -res[pivot_rows][:, free] % p
@@ -198,22 +213,48 @@ def normalize_integer_vector(vec):
     return tuple(ints)
 
 
-def nullspace(m: RationalMatrix):
+def _certified(basis, residues, row_bits):
+    """Whether every integer vector of ``basis`` is in the kernel over Q.
+
+    ``residues(k)`` gives the k-th prime and the matrix modulo it.  Each
+    product row . v is checked modulo successive primes until their product
+    reaches 2^(row_bits + bitlen |v|_inf), past any nonzero |row . v| (see
+    the module notes).  Each residue product is reduced before the row sum,
+    so nothing leaves int64.
+    """
+    need = row_bits + max(abs(x) for v in basis for x in v).bit_length()
+    k, modulus = 0, 1
+    while modulus.bit_length() <= need:
+        p, res = residues(k)
+        for v in np.array(basis, dtype=object) % p:
+            if ((res * v.astype(np.int64) % p).sum(axis=1) % p).any():
+                return False
+        k, modulus = k + 1, modulus * p
+    return True
+
+
+def nullspace(m):
     """Basis of {x : m x = 0}, one normalized integer vector per free column.
 
-    Vectors are ordered by their free column index; each satisfies m x = 0
-    exactly and the basis size is cols - rank(m).  Empty list for a trivial
-    nullspace.  Elimination runs modulo primes; the basis is then checked
-    exactly against every row (see the module notes).
+    ``m`` is a ``RationalMatrix`` or any matrix with ``cols``, ``residues(p)``
+    and ``row_bits`` (see the module notes).  Vectors are ordered by their
+    free column index; each satisfies m x = 0 exactly and the basis size is
+    cols - rank(m).  Empty list for a trivial nullspace.  Elimination runs
+    modulo primes; the basis is then certified modulo enough primes to be
+    exact.
     """
-    a = _integer_rows(m)
-    ncols = m.cols
+    cache = {}
+
+    def residues(k):
+        if k not in cache:
+            cache[k] = _prime(k), m.residues(_prime(k))
+        return cache[k]
+
     images = []
     while True:
-        images.append(_kernel_mod(a, _prime(len(images)), ncols))
+        images.append(_kernel_mod(*residues(len(images)), m.cols))
         _, pivots, free, _ = min(images, key=lambda image: (-len(image[1]), image[1]))
         basis = _kernel_vectors(pivots, free,
                                 *_crt((p, k) for p, piv, _, k in images if piv == pivots))
-        if basis is not None and not any(sum(map(mul, row, vec))
-                                         for vec in basis for row in a):
+        if basis is not None and (not basis or _certified(basis, residues, m.row_bits)):
             return basis

@@ -27,15 +27,19 @@ one matrix of all products.
 Each sector has many more sample rows than product columns.  ``nullspace``
 takes the reduced echelon form of all of them modulo word-size primes,
 rebuilds the rational kernel by Chinese remaindering and rational
-reconstruction, and certifies every kernel vector with exact integer dot
-products against every sample row, adding a prime until the certificate
-holds.  The kernel it returns is therefore the kernel of the whole sector
-matrix, the same vectors exact elimination gives (see ``exact_algebra``).
-The Schwartz-Zippel re-verification below is independent of that
-certificate: it tests each candidate at fresh points from a much larger box.
+reconstruction, and certifies every kernel vector against every sample row
+modulo enough primes that a zero residue is an exact zero, adding a prime
+until the certificate holds.  The kernel it returns is therefore the kernel
+of the whole sector matrix, the same vectors exact elimination gives (see
+``exact_algebra``).  No big-integer matrix is built for this: a sector is a
+``_SectorMatrix``, whose residues modulo a prime are products of the
+invariant columns' residues, and whose row bound comes from the largest
+value of each invariant.  The Schwartz-Zippel re-verification below is
+independent of that certificate: it tests each candidate at fresh points
+from a much larger box, whose invariants are evaluated once per discovery.
 
 Sampling boxes: discovery points use integer entries in [-9, 9] to keep the
-matrix entries, and with them the certificate's exact products, small;
+matrix entries, and with them the primes the certificate needs, few;
 re-verification points use [-1e6, 1e6] to drive the Schwartz-Zippel bound.
 
 Both point sets are evaluated as columns: ``_random_columns`` stacks n
@@ -51,6 +55,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -200,7 +205,11 @@ def verify_relation(rel: SyzygyRelation, h: HarmonicParts):
     coords = h.deviator.components + h.vector
     if field_of(x for c in coords for x in np.ravel(c).tolist()) != RATIONAL:
         raise ValueError("verify_relation needs exact rational input")
-    iv = all_invariants(h)
+    return _residual(rel, all_invariants(h))
+
+
+def _residual(rel: SyzygyRelation, iv):
+    """Exact residual of a relation at invariant values (scalars or columns)."""
     residual = 0
     for coeff, term in rel.terms:
         residual = residual + coeff * term.evaluate(iv)
@@ -226,6 +235,56 @@ def _random_columns(rng: random.Random, bound: int, n: int) -> HarmonicParts:
     return HarmonicParts(Traceless3Tensor(tuple(coords[:7])), tuple(coords[7:]))
 
 
+class _SectorMatrix:
+    """One bidegree sector's sample matrix, as ``nullspace`` reads it.
+
+    Row i holds the sector's products at sample i.  ``residues(p)``
+    multiplies each product's factors modulo p in int64, from tables of the
+    invariant columns' powers modulo p that are built once per prime and
+    shared by all sectors of a discovery (``modular``).  Every entry is an
+    integer whose magnitude is below 2 to the sum, over its factors, of
+    exponent times the bit length of the factor's largest value;
+    ``row_bits`` adds the bit length of the column count to the largest
+    such sum.  ``entries``, the exact matrix, is computed only when read.
+    """
+
+    def __init__(self, sector, columns, bits, modular):
+        self.sector, self.columns, self.modular = sector, columns, modular
+        self.rows, self.cols = len(next(iter(columns.values()))), len(sector)
+        self.row_bits = (max(sum(e * bits[name] for name, e in t.exponents) for t in sector)
+                         + self.cols.bit_length())
+        # per invariant: the columns whose product has it as a factor, and its exponents there
+        self.factors = []
+        for name in dict.fromkeys(n for t in sector for n, _ in t.exponents):
+            e = np.array([dict(t.exponents).get(name, 0) for t in sector])
+            j = np.flatnonzero(e)
+            self.factors.append((name, j, e[j]))
+
+    def residues(self, p: int):
+        if p not in self.modular:
+            degree = self.sector[0].weighted_degree
+            self.modular[p] = {name: _powers_mod(col, degree // DEGREE[name], p)
+                               for name, col in self.columns.items()}
+        powers = self.modular[p]
+        out = np.ones((self.rows, self.cols), dtype=np.int64)
+        for name, j, e in self.factors:
+            out[:, j] = out[:, j] * powers[name][:, e] % p
+        return out
+
+    @cached_property
+    def entries(self):
+        return tuple(zip(*(t.evaluate(self.columns) for t in self.sector)))
+
+
+def _powers_mod(column, top, p):
+    """Column k of the result is ``column`` ** k modulo p, for k = 0, ..., top (int64)."""
+    x = (column % p).astype(np.int64)
+    powers = [np.ones_like(x)]
+    for _ in range(top):
+        powers.append(powers[-1] * x % p)
+    return np.stack(powers, axis=1)
+
+
 def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
     """Find all syzygies at a weighted degree from exact random evaluations.
 
@@ -243,8 +302,9 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
             f"sample_count must be >= {len(terms) + 10} for {len(terms)} products"
         )
     points = _random_columns(random.Random(f"{seed}:discover"), DISCOVERY_BOUND, sample_count)
-    # one exact column per invariant, so each product is evaluated once per sector
     columns = all_invariants(points).as_dict()
+    bits = {name: max(map(abs, col)).bit_length() for name, col in columns.items()}
+    modular = {}
 
     sectors = {}
     for t in terms:
@@ -255,15 +315,15 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
         sector = sectors[key]
         if len(sector) < 2:
             continue  # a single product cannot vanish identically
-        sub = RationalMatrix(tuple(zip(*(t.evaluate(columns) for t in sector))))
-        for vec in nullspace(sub):
+        for vec in nullspace(_SectorMatrix(sector, columns, bits, modular)):
             found.append(SyzygyRelation(
                 tuple((c, t) for c, t in zip(vec, sector) if c), degree, basis))
 
-    fresh = _random_columns(random.Random(f"{seed}:reverify"), REVERIFY_BOUND, REVERIFY_POINTS)
+    fresh = all_invariants(_random_columns(random.Random(f"{seed}:reverify"),
+                                           REVERIFY_BOUND, REVERIFY_POINTS))
     kept = []
     for rel in found:
-        if all(r == 0 for r in verify_relation(rel, fresh)):
+        if all(r == 0 for r in _residual(rel, fresh)):
             kept.append(rel)
         else:
             warnings.warn(f"discarding spurious candidate relation: {rel}")

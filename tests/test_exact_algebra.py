@@ -8,7 +8,6 @@ import pytest
 
 from sym3inv.exact_algebra import (
     RationalMatrix,
-    _integer_rows,
     normalize_integer_vector,
     nullspace,
     rank,
@@ -85,19 +84,22 @@ def test_fraction_entries():
     assert nullspace(m) == [(2, -3)]
 
 
-def test_integer_rows_returns_an_int_matrix_as_it_is():
-    m = RationalMatrix([[1, -2, 3], [4, 0, 6]])
-    assert _integer_rows(m) is m.entries
+def test_residues_of_an_int_matrix_are_its_entries_mod_p():
+    p = 101
+    m = RationalMatrix([[1, -2, 3], [4, 0, 6 * p + 5]])
+    res = m.residues(p)
+    assert res.dtype == np.int64
+    assert res.tolist() == [[1, p - 2, 3], [4, 0, 5]]
+    # l1 norms 6 and 4 + 6p + 5 = 615 < 2^10
+    assert m.row_bits == 10
 
 
-def test_integer_rows_clears_fraction_denominators_row_by_row():
+def test_residues_clear_fraction_denominators_row_by_row():
     m = RationalMatrix([[F(1, 2), F(1, 3), 1], [2, 4, 6], [F(-3, 4), 0, F(5, 6)]])
-    rows = _integer_rows(m)
-    assert rows == [[3, 2, 6], [2, 4, 6], [-9, 0, 10]]
-    assert all(type(e) is int for row in rows for e in row)
-    for row, ints in zip(m.entries, rows):
-        scale = F(ints[0]) / row[0]
-        assert all(e * scale == i for e, i in zip(row, ints))
+    # the integer rows are [3, 2, 6], [2, 4, 6] and [-9, 0, 10]
+    for p in (101, 2 ** 31 - 1):
+        assert m.residues(p).tolist() == [[3, 2, 6], [2, 4, 6], [p - 9, 0, 10]]
+    assert m.row_bits == (9 + 10).bit_length()
 
 
 def test_normalization_contract():
@@ -199,9 +201,9 @@ def record_reductions(monkeypatch):
     calls = []
     original = ea._kernel_mod
 
-    def counting(rows, p, ncols):
-        calls.append((len(rows), p))
-        return original(rows, p, ncols)
+    def counting(p, res, ncols):
+        calls.append((len(res), p))
+        return original(p, res, ncols)
 
     monkeypatch.setattr(ea, "_kernel_mod", counting)
     return calls
@@ -241,6 +243,44 @@ def test_unlucky_prime_forces_certified_retry(monkeypatch):
     m = RationalMatrix([[p, 2 * p, 0], [0, 0, 1], [3 * p, 1, 0], [0, 0, 5]])
     assert nullspace(m) == reference_nullspace(m) == []
     assert calls == [(4, p), (4, _prime(1))]
+
+
+def test_certificate_checks_every_prime_its_bound_needs(monkeypatch):
+    # the first row is p0 p1 p2: it vanishes modulo the first three primes,
+    # so each of them eliminates to the false kernel vector (1, 0).  The
+    # bound |row . v| < 2^(row_bits + bitlen |v|_inf) = 2^94 needs a fourth
+    # prime, the only one that rejects (1, 0); a certificate that stops one
+    # prime short returns [(1, 0)]
+    from sym3inv.exact_algebra import _prime
+
+    primes = [_prime(k) for k in range(4)]
+    q = primes[0] * primes[1] * primes[2]
+    m = RationalMatrix([[q, 0], [0, 1], [0, 2]])
+    assert m.row_bits + 1 == 94 and q.bit_length() == 93
+    calls = record_reductions(monkeypatch)
+    assert nullspace(m) == reference_nullspace(m) == []
+    assert calls == [(3, p) for p in primes]
+
+
+def test_certificate_bound_counts_the_vector_entries():
+    # row (0, p0 p1) has 62 bits and v = (1, p2) has 31: row . v = p0 p1 p2
+    # passes modulo the first three primes, and the 93-bit bound needs a
+    # fourth, which a bound on the row alone would skip
+    from sym3inv.exact_algebra import _certified, _prime
+
+    primes = [_prime(k) for k in range(4)]
+    m = RationalMatrix([[0, primes[0] * primes[1]]])
+    asked = []
+
+    def residues(k):
+        asked.append(k)
+        return primes[k], m.residues(primes[k])
+
+    assert not _certified([(1, primes[2])], residues, m.row_bits)
+    assert asked == [0, 1, 2, 3]
+    asked.clear()
+    assert _certified([(1, 0)], residues, m.row_bits)
+    assert asked == [0, 1, 2]
 
 
 def test_entries_divisible_by_the_first_two_primes():

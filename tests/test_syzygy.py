@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from sym3inv import (
@@ -20,7 +21,7 @@ from sym3inv import (
     in_span,
     verify_relation,
 )
-from sym3inv.exact_algebra import RationalMatrix, rank
+from sym3inv.exact_algebra import RationalMatrix, nullspace, rank
 from sym3inv.syzygy import (
     BASIS_NAMES,
     ELEVEN,
@@ -369,6 +370,49 @@ def test_discovery_matrices_hold_each_product_at_each_sample(monkeypatch):
     for m, sector in zip(matrices, sectors):
         assert m.entries == tuple(tuple(t.evaluate(iv) for t in sector) for iv in values)
         assert all(type(e) is int for row in m.entries for e in row)
+
+
+def _sector_matrices(monkeypatch, basis, degree, seed):
+    """The matrices ``discover_relations`` passes to ``nullspace``, with its result."""
+    import sym3inv.syzygy as syz
+
+    matrices = []
+    original_nullspace = syz.nullspace
+
+    def recording_nullspace(m):
+        matrices.append(m)
+        return original_nullspace(m)
+
+    monkeypatch.setattr(syz, "nullspace", recording_nullspace)
+    samples = len(enumerate_products(basis, degree)) + 10
+    found = discover_relations(basis, degree, seed=seed, sample_count=samples)
+    return matrices, found
+
+
+def test_sector_residues_and_row_bits_match_the_exact_entries(monkeypatch):
+    from sym3inv.exact_algebra import _prime
+
+    matrices, found = _sector_matrices(monkeypatch, ELEVEN, 16, 4)
+    assert len(found) == 3 and len(matrices) == 15
+    for m in matrices:
+        entries = np.array(m.entries, dtype=object)
+        assert entries.shape == (m.rows, m.cols)
+        for p in (_prime(0), _prime(5), 10007):
+            res = m.residues(p)
+            assert res.dtype == np.int64
+            assert (res == entries % p).all()
+        assert max(sum(map(abs, row)) for row in m.entries) < 2 ** m.row_bits
+
+
+@pytest.mark.parametrize("basis, degree", [(ELEVEN, 16), (THIRTEEN, 12)])
+def test_sector_nullspace_equals_the_nullspace_of_its_exact_entries(monkeypatch, basis, degree):
+    matrices, found = _sector_matrices(monkeypatch, basis, degree, 6)
+    total = 0
+    for m in matrices:
+        kernel = nullspace(m)
+        assert kernel == nullspace(RationalMatrix(m.entries))
+        total += len(kernel)
+    assert total == len(found)
 
 
 def _times(rel, name):
