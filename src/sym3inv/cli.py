@@ -22,16 +22,16 @@ from fractions import Fraction
 
 from . import __version__
 from .function_basis import ElevenBasis, reconstruct_I8, reconstruct_K6
-from .invariants import NAMES, invariants_of
+from .invariants import NAMES, all_invariants, invariants_of
 from .optimizer import minimize
 from .syzygy import (
     DISCOVERY_BOUND,
     ELEVEN,
     THIRTEEN,
     _random_columns,
+    _residual,
     builtin_relations,
     discover_relations,
-    verify_relation,
 )
 from .tensor_core import (
     FLOAT,
@@ -139,11 +139,11 @@ def cmd_reconstruct(args):
 
 def cmd_verify_syzygies(args):
     rng = random.Random(f"{args.seed}:verify")
-    points = _random_columns(rng, DISCOVERY_BOUND, args.samples)
+    iv = all_invariants(_random_columns(rng, DISCOVERY_BOUND, args.samples))
     results = {}
     ok = True
     for name, rel in builtin_relations().items():
-        residuals = verify_relation(rel, points)
+        residuals = _residual(rel, iv)
         worst = max(residuals, key=abs)
         results[name] = {
             "degree": rel.degree,

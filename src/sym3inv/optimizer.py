@@ -33,7 +33,6 @@ from .invariants import all_invariants
 from .tensor_core import HarmonicParts, Traceless3Tensor, expand, orthonormalize
 
 GRAD_TOL = 1e-9
-EIGEN_GAP_TOL = 1e-8
 ARMIJO_INIT = 0.5
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
@@ -41,7 +40,7 @@ ARMIJO_SLOPE = 1e-4
 # points specified to 4 significant digits
 FEASIBILITY_TOL = 1e-3
 UNIT_NORM_TOL = 1e-6  # accepted |squared norm - 1| of a deviator in inner_solve_u
-SAMPLE_CHUNK = 100_000  # points per batch in sample_feasible_values; bounds its temporaries
+SAMPLE_CHUNK = 10_000  # points per batch in sample_feasible_values; bounds its temporaries
 
 
 # orthonormal basis (in the 27-entry Euclidean metric) of the deviator space, (7, 27)
@@ -102,7 +101,7 @@ def objective(p: FeasiblePoint) -> float:
 
 
 def _evaluate(x):
-    """Reduced value, sphere-projected gradient, top eigen gap and top eigenvector.
+    """Reduced value, sphere-projected gradient and top eigenvector.
 
     One row of each per row of the unit coordinates x, shape (n, 7).
     """
@@ -113,8 +112,7 @@ def _evaluate(x):
     g27 = 2.0 * np.einsum("nak,nk->na", flat, w)[:, :, None] * w[:, None, :]
     grad = -3.0 * np.einsum("ni,ai->na", g27.reshape(-1, 27), _BASIS)
     grad -= np.einsum("na,na->n", grad, x)[:, None] * x
-    gap = eigenvalues[:, -1] - eigenvalues[:, -2]
-    return 2.0 - 3.0 * eigenvalues[:, -1], grad, gap, w
+    return 2.0 - 3.0 * eigenvalues[:, -1], grad, w
 
 
 def inner_solve_u(d: Traceless3Tensor):
@@ -127,7 +125,7 @@ def inner_solve_u(d: Traceless3Tensor):
     norm2 = float(x @ x)
     if abs(norm2 - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"deviator norm^2 = {norm2:.6f}, expected 1")
-    value, _, _, w = _evaluate(x[None, :])
+    value, _, w = _evaluate(x[None, :])
     return tuple(w[0].tolist()), float(value[0])
 
 
@@ -135,19 +133,21 @@ def _normalize(x):
     return x / np.sqrt(np.einsum("...a,...a->...", x, x))[..., None]
 
 
-def _descend(x, iters, rngs):
+def _descend(x, iters):
     """Projected gradient descent on the unit sphere, one start per row of x.
 
     Each start carries its own Armijo step: an iteration tries
     min(ARMIJO_INIT, twice the last accepted step) and shrinks it until the
     candidate is strictly below the current value and meets the Armijo
     condition.  A start stops when its gradient norm is at most GRAD_TOL or
-    its step falls to 1e-16 (no descent at working precision).  rngs[s]
-    draws the nudges of start s, so each row follows the trajectory it would
-    follow alone.  Returns the final coordinates, values and gradient norms,
-    per start the iterations that moved it (steps and nudges) and the
-    rejected candidates (backtracks), and the final top eigenvectors (the
-    optimal u of each row).
+    its step falls to 1e-16 (no descent at working precision).  Each row
+    follows the trajectory it would follow alone.  Where the top two
+    eigenvalues of M(D) cross, 2 - 3 lambda_max is the smaller of two smooth
+    branches, so the gradient from either top eigenvector still descends and
+    the Armijo search accepts a step there too.
+    Returns the final coordinates, values and gradient norms, per start the
+    accepted steps (moves) and rejected candidates (backtracks), and the
+    final top eigenvectors (the optimal u of each row).
     """
     x = np.array(x, dtype=float)
     n = len(x)
@@ -159,16 +159,11 @@ def _descend(x, iters, rngs):
         active = np.flatnonzero(running)
         if not active.size:
             break
-        f[active], grad[active], gap, _ = _evaluate(x[active])
+        f[active], grad[active], _ = _evaluate(x[active])
         grad_norm2[active] = np.einsum("na,na->n", grad[active], grad[active])
         converged = np.sqrt(grad_norm2[active]) <= GRAD_TOL
         running[active[converged]] = False
-        kinked = ~converged & (gap < EIGEN_GAP_TOL)
-        for s in active[kinked]:
-            # nonsmooth near an eigenvalue crossing: restart from a nudge
-            x[s] = _normalize(x[s] + 1e-6 * np.array([rngs[s].gauss(0.0, 1.0) for _ in range(7)]))
-        moves[active[kinked]] += 1
-        pending = active[~converged & ~kinked]
+        pending = active[~converged]
         step[pending] = np.minimum(ARMIJO_INIT, 2.0 * step[pending])
         while pending.size:
             candidate = _normalize(x[pending] - step[pending, None] * grad[pending])
@@ -182,7 +177,7 @@ def _descend(x, iters, rngs):
             step[pending] *= ARMIJO_SHRINK
             running[pending[step[pending] <= 1e-16]] = False
             pending = pending[step[pending] > 1e-16]
-    f, grad, _, w = _evaluate(x)
+    f, grad, w = _evaluate(x)
     return x, f, np.sqrt(np.einsum("na,na->n", grad, grad)), moves, backtracks, w
 
 
@@ -190,7 +185,7 @@ def _descend(x, iters, rngs):
 class MinimizeResult:
     """Best point of a descent.
 
-    iterations (steps and nudges) and backtracks (rejected Armijo
+    iterations (accepted steps) and backtracks (rejected Armijo
     candidates) are summed over all starts.
     """
 
@@ -222,7 +217,7 @@ def minimize(seed: int, starts: int, iters: int) -> MinimizeResult:
         raise ValueError("starts and iters must be >= 1")
     rngs = [random.Random(f"{seed}:{s}") for s in range(starts)]
     x0 = _normalize(np.array([[rng.gauss(0.0, 1.0) for _ in range(7)] for rng in rngs]))
-    descent = _descend(x0, iters, rngs)
+    descent = _descend(x0, iters)
     s = int(np.argmin(descent[1]))  # ties go to the first start
     return _result(descent, s)
 
@@ -230,7 +225,7 @@ def minimize(seed: int, starts: int, iters: int) -> MinimizeResult:
 def refine_from(d: Traceless3Tensor, iters: int) -> MinimizeResult:
     """Run the descent from a given deviator (renormalized to the sphere)."""
     x = _normalize(coords_from_deviator(d))[None, :]
-    return _result(_descend(x, iters, [random.Random("refine:0")]), 0)
+    return _result(_descend(x, iters), 0)
 
 
 def sample_feasible_values(seed: int, count: int) -> np.ndarray:

@@ -198,30 +198,29 @@ def expand(t):
     return tuple([tuple([row(c) for row in plane]) for plane in _EXPANDED_ROWS])
 
 
-def _shift_trace_part(t, u, field, sign):
-    """Expanded t_ijk + sign * (1/5)(u_k d_ij + u_j d_ik + u_i d_jk).
+def _shift_trace_part(cls, t, u, field, sign):
+    """The cls tensor with components t_ijk + sign * (1/5)(u_k d_ij + u_j d_ik + u_i d_jk).
 
+    Only cls's stored components are computed, from the expansion t.
     decompose removes the trace part (sign -1), recompose restores it
     (sign +1); t + (-x) equals t - x exactly in every scalar field.
     """
     fifth = sign * (0.2 if field == FLOAT else Fraction(1, 5))
-    rng = range(3)
-    return [[[t[i][j][k] + fifth * (u[k] * (i == j) + u[j] * (i == k) + u[i] * (j == k))
-              for k in rng] for j in rng] for i in rng]
+    return cls(tuple(
+        t[i][j][k] + fifth * (u[k] * (i == j) + u[j] * (i == k) + u[i] * (j == k))
+        for i, j, k in ((a - 1, b - 1, c - 1) for a, b, c in cls._INDICES)))
 
 
 def decompose(a: Sym3Tensor) -> HarmonicParts:
     """Harmonic decomposition A -> (D, u) with u_i = A_ill."""
     t = expand(a)
     u = tuple(sum(t[i][l][l] for l in range(3)) for i in range(3))
-    return HarmonicParts(
-        Traceless3Tensor._from_expanded(_shift_trace_part(t, u, a.field, -1)), u)
+    return HarmonicParts(_shift_trace_part(Traceless3Tensor, t, u, a.field, -1), u)
 
 
 def recompose(h: HarmonicParts) -> Sym3Tensor:
     """Inverse of decompose: A_ijk = D_ijk + (1/5)(u_k d_ij + u_j d_ik + u_i d_jk)."""
-    return Sym3Tensor._from_expanded(
-        _shift_trace_part(expand(h.deviator), h.vector, h.field, 1))
+    return _shift_trace_part(Sym3Tensor, expand(h.deviator), h.vector, h.field, 1)
 
 
 def _contract_last(m, t):
@@ -287,21 +286,18 @@ def random_orthogonal(seed: int, det_sign: int = 1) -> Orthogonal3:
     """Seeded random orthogonal matrix with the requested determinant sign.
 
     Gram-Schmidt on a 3x3 matrix of standard normals (run twice, which pins
-    the orthogonality defect near machine epsilon) with a column-sign fix,
-    then the first column negated when the determinant's sign is not det_sign.
+    the orthogonality defect near machine epsilon), then the first column
+    negated when the determinant's sign is not det_sign.  Every other column
+    has a positive dot with its draw: the first pass makes it the remainder's
+    norm (>= 1e-8), and the second moves a column only by rounding.
     """
     if det_sign not in (1, -1):
         raise ValueError("det_sign must be +1 or -1")
     rng = random.Random(seed)
     q = None
     while q is None:  # a nearly dependent draw is drawn again
-        cols = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(3)]
-        q = orthonormalize(cols)
+        q = orthonormalize([[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(3)])
         q = q and orthonormalize(q)
-    q = [
-        [-x for x in v] if sum(x * y for x, y in zip(col, v)) < 0 else v
-        for col, v in zip(cols, q)
-    ]
     rows = tuple(tuple(q[c][r] for c in range(3)) for r in range(3))
     if (Orthogonal3(rows).determinant() < 0) != (det_sign == -1):
         rows = tuple((-r0, r1, r2) for (r0, r1, r2) in rows)

@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from sym3inv import FLOAT, Sym3Tensor, cli, random_sym3, save_tensor
+from sym3inv import (
+    FLOAT,
+    Sym3Tensor,
+    cli,
+    load_tensor,
+    random_sym3,
+    recompose,
+    save_tensor,
+    witnesses,
+)
 from sym3inv.cli import (
     EXIT_BAD_FILE,
     EXIT_CHECK_FAILED,
@@ -272,13 +281,23 @@ def test_witness_m6_with_params(capsys):
     assert inst["invariants"]["M6"] == "0/1"
 
 
-def test_witness_write_tensor_roundtrip(capsys, tmp_path):
-    out = tmp_path / "k4.json"
-    code, report, _ = run_cli(
-        capsys, "witness", "--case", "K4", "--write-tensor", str(out),
-    )
+M6_FIRST_INSTANCE = witnesses._instance_params(witnesses.load_fixture("M6")["instances"][0])
+
+
+@pytest.mark.parametrize("argv, tensor", [
+    (("--case", "K4"), witnesses.witness_tensor("K4")),
+    (("--case", "J4", "--theta", "0.7"), witnesses.j4_tensor(0.7)),
+    (("--case", "M6"), recompose(witnesses.m6_harmonic_parts(*M6_FIRST_INSTANCE))),
+    (("--case", "M6", "--params", "1", "2", "3", "4"),
+     recompose(witnesses.m6_harmonic_parts(1, 2, 3, 4))),
+], ids=["K4", "J4-theta", "M6-default", "M6-params"])
+def test_witness_write_tensor_roundtrip(capsys, tmp_path, argv, tensor):
+    # the written file loads back as the tensor the case evaluates
+    out = tmp_path / "witness.json"
+    code, report, _ = run_cli(capsys, "witness", *argv, "--write-tensor", str(out))
     assert code == EXIT_OK
     assert report["results"]["tensor_file"] == str(out)
+    assert load_tensor(out) == tensor
     code, report, _ = run_cli(capsys, "reconstruct", str(out))
     assert code == EXIT_OK
 

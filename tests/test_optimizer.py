@@ -48,10 +48,9 @@ def contraction_matrix_of(d):
 
 
 def unit_starts(seed, n):
-    """The start coordinates and nudge generators minimize(seed, n, ...) uses."""
+    """The start coordinates minimize(seed, n, ...) uses."""
     rngs = [random.Random(f"{seed}:{s}") for s in range(n)]
-    x0 = _normalize(np.array([[rng.gauss(0.0, 1.0) for _ in range(7)] for rng in rngs]))
-    return x0, rngs
+    return _normalize(np.array([[rng.gauss(0.0, 1.0) for _ in range(7)] for rng in rngs]))
 
 
 # ---- eigensolver ----
@@ -189,7 +188,10 @@ def test_gradient_matches_finite_differences():
         n = math.sqrt(sum(v * v for v in x))
         xs.append([v / n for v in x])
     xs = np.array(xs)
-    _, grads, gaps, _ = _evaluate(xs)
+    _, grads, _ = _evaluate(xs)
+    eigenvalues, _ = symmetric_eigh3(
+        np.array([contraction_matrix_of(deviator_from_coords(x)) for x in xs]))
+    gaps = eigenvalues[:, -1] - eigenvalues[:, -2]
     shifts = h * np.eye(7)
     fp = _evaluate(_normalize((xs[:, None, :] + shifts).reshape(-1, 7)))[0].reshape(-1, 7)
     fm = _evaluate(_normalize((xs[:, None, :] - shifts).reshape(-1, 7)))[0].reshape(-1, 7)
@@ -260,12 +262,22 @@ def test_minimize_starts_stop_at_working_precision():
 
 
 def test_batched_descent_rows_equal_single_starts():
-    x0, rngs = unit_starts(2024, 20)
-    batched = _descend(x0, 500, rngs)
-    x0, rngs = unit_starts(2024, 20)
+    x0 = unit_starts(2024, 20)
+    batched = _descend(x0, 500)
     for s in range(20):
-        single = _descend(x0[s:s + 1], 500, [rngs[s]])
+        single = _descend(x0[s:s + 1], 500)
         assert all(np.array_equal(a[s], b[0]) for a, b in zip(batched, single)), s
+
+
+def test_descent_from_an_eigenvalue_crossing_reaches_the_minimum():
+    # D111 = 1, D122 = -1 gives M(D) a doubled top eigenvalue; the gradient
+    # from either top eigenvector descends from there
+    x = _normalize(coords_from_deviator(Traceless3Tensor((1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0))))
+    eigenvalues, _ = symmetric_eigh3(np.array(contraction_matrix_of(deviator_from_coords(x))))
+    assert eigenvalues[2] - eigenvalues[1] < 1e-12
+    _, f, grad_norm, _, _, _ = _descend(x[None, :], 500)
+    assert abs(f[0] - 0.2) < 1e-9
+    assert grad_norm[0] <= 1e-6
 
 
 def test_sampled_objective_floor_and_nonnegativity():
