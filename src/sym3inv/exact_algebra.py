@@ -10,17 +10,30 @@ and ``row_bits`` (every scaled row has l1 norm below 2^row_bits).
 ``RationalMatrix`` derives them from its entries; a caller that knows its
 rows' residues and size another way can pass any object that has them.
 
-1. All rows are brought to reduced row echelon form modulo primes
-   2^31 - 1 = p0 > p1 > ..., in numpy int64 (a product of two residues stays
-   below 2^62).  Each prime gives pivot columns and, for each free column f,
-   the kernel vector with x_f = 1 and zeros at the other free columns.  A
-   prime whose pivots differ from the best seen (the most pivots, then the
+1. Each prime 2^31 - 1 = p0 > p1 > ... brings the first min(rows, cols)
+   rows to reduced row echelon form, in numpy int64 (a product of two
+   residues stays below 2^62).  That block's mod-p kernel, one vector per
+   free column f with x_f = 1 and zeros at the other free columns, is
+   checked against every row by one matmul.  The rows that fail are
+   eliminated once more together with the block's pivot rows.  That gives
+   the row space mod p of all rows, so its reduced echelon form, pivot
+   columns and kernel are those that eliminating every row gives.  A prime
+   whose pivots differ from the best seen (the most pivots, then the
    leftmost) is unlucky and left out; the others are combined by Chinese
    remaindering, and each entry is rationally reconstructed.
-2. Each vector v, scaled to coprime integers, is certified against every
-   row: row . v = 0 is checked modulo p0, p1, ... until their product
-   reaches 2^(row_bits + bitlen |v|_inf).  An entry that does not
-   reconstruct, or a residue that is not zero, asks for one more prime.
+2. All vectors v, scaled to coprime integers, are certified against every
+   row at once: row . v = 0 is checked modulo p0, p1, ... until their
+   product reaches 2^(row_bits + bitlen |v|_inf), by one matmul per prime.
+   An entry that does not reconstruct, or a residue that is not zero, asks
+   for one more prime.
+
+Why two passes suffice: let K1 be the kernel of the first block mod p and
+K2 that of its pivot rows and the failing rows, so K2 is inside K1.  A row
+that vanishes on K1 lies in the first block's row space, hence vanishes on
+K2 too, and every failing row is in the second block: no row fails K2, and
+the second block spans the row space of all rows.  The matmuls are exact in
+int64: v mod p is split into 16-bit limbs, and the columns are summed in
+blocks of 2^15, reduced after each block.
 
 Why the certificate is a proof: |row . v| <= |row|_1 |v|_inf is below
 2^(row_bits + bitlen |v|_inf), hence below the product of the primes, and
@@ -139,17 +152,44 @@ def _eliminate(res, p):
     return rows, cols
 
 
+def _matmul_mod(res, x, p):
+    """``res @ x`` modulo ``p``, exactly, for int64 matrices with entries in [0, p).
+
+    x is split into 16-bit limbs and the columns of res are summed in blocks
+    of 2^15, reduced after each block: a product of a residue (below 2^31)
+    and a limb (below 2^16) is below 2^47, so a block sum stays below 2^62.
+    """
+    lo, hi = x & 0xFFFF, x >> 16
+    out = np.zeros((res.shape[0], x.shape[1]), dtype=np.int64)
+    for s in range(0, res.shape[1], 2 ** 15):
+        block = slice(s, s + 2 ** 15)
+        a = res[:, block]
+        out = (out + a @ lo[block] % p + ((a @ hi[block] % p) << 16)) % p
+    return out
+
+
 def _kernel_mod(p, res, ncols):
     """Pivot columns, free columns and kernel of the residue matrix ``res`` modulo ``p``.
 
     Returns (p, pivot columns, free columns, K) where K[i][j] is entry
     pivots[i] of the kernel vector of free column j: -R[i][free j], R the
-    reduced row echelon form mod p.  ``res`` itself is left as it is.
+    reduced row echelon form mod p of all rows.  Only the first ncols rows
+    are eliminated; every row is checked against their kernel, and the rows
+    that fail are eliminated once more with the block's pivot rows (see the
+    module notes).  ``res`` itself is left as it is.
     """
-    res = res.copy()
-    pivot_rows, pivots = _eliminate(res, p)
+    block = res[:ncols].copy()
+    pivot_rows, pivots = _eliminate(block, p)
     free = [c for c in range(ncols) if c not in pivots]
-    return p, pivots, free, -res[pivot_rows][:, free] % p
+    kernel = np.zeros((ncols, len(free)), dtype=np.int64)
+    kernel[free, range(len(free))] = 1
+    kernel[pivots] = -block[pivot_rows][:, free] % p
+    failing = _matmul_mod(res, kernel, p).any(axis=1)
+    if failing.any():
+        block = np.vstack([block[pivot_rows], res[failing]])
+        pivot_rows, pivots = _eliminate(block, p)
+        free = [c for c in range(ncols) if c not in pivots]
+    return p, pivots, free, -block[pivot_rows][:, free] % p
 
 
 def _crt(images):
@@ -219,16 +259,16 @@ def _certified(basis, residues, row_bits):
     ``residues(k)`` gives the k-th prime and the matrix modulo it.  Each
     product row . v is checked modulo successive primes until their product
     reaches 2^(row_bits + bitlen |v|_inf), past any nonzero |row . v| (see
-    the module notes).  Each residue product is reduced before the row sum,
-    so nothing leaves int64.
+    the module notes).  All vectors are checked at once, by one
+    ``_matmul_mod`` per prime.
     """
     need = row_bits + max(abs(x) for v in basis for x in v).bit_length()
+    vectors = np.array(basis, dtype=object).T
     k, modulus = 0, 1
     while modulus.bit_length() <= need:
         p, res = residues(k)
-        for v in np.array(basis, dtype=object) % p:
-            if ((res * v.astype(np.int64) % p).sum(axis=1) % p).any():
-                return False
+        if _matmul_mod(res, (vectors % p).astype(np.int64), p).any():
+            return False
         k, modulus = k + 1, modulus * p
     return True
 

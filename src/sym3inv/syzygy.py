@@ -24,19 +24,22 @@ sector matrix and computes one nullspace per sector; the union spans exactly
 the relations at that degree, at a small fraction of the cost of eliminating
 one matrix of all products.
 
-Each sector has many more sample rows than product columns.  ``nullspace``
-takes the reduced echelon form of all of them modulo word-size primes,
-rebuilds the rational kernel by Chinese remaindering and rational
-reconstruction, and certifies every kernel vector against every sample row
-modulo enough primes that a zero residue is an exact zero, adding a prime
-until the certificate holds.  The kernel it returns is therefore the kernel
-of the whole sector matrix, the same vectors exact elimination gives (see
-``exact_algebra``).  No big-integer matrix is built for this: a sector is a
-``_SectorMatrix``, whose residues modulo a prime are products of the
-invariant columns' residues, and whose row bound comes from the largest
-value of each invariant.  The Schwartz-Zippel re-verification below is
-independent of that certificate: it tests each candidate at fresh points
-from a much larger box, whose invariants are evaluated once per discovery.
+Each sector has many more sample rows than product columns.  Modulo each
+word-size prime, ``nullspace`` eliminates only as many leading rows as the
+sector has columns, and checks every other row against their kernel in one
+matmul; a row that fails is eliminated in a second pass.  It takes the
+reduced echelon form of all rows this way, rebuilds the rational kernel by
+Chinese remaindering and rational reconstruction, and certifies every
+kernel vector against every sample row modulo enough primes that a zero
+residue is an exact zero, adding a prime until the certificate holds.  The
+kernel it returns is therefore the kernel of the whole sector matrix, the
+same vectors exact elimination gives (see ``exact_algebra``).  No
+big-integer matrix is built for this: a sector is a ``_SectorMatrix``, whose
+residues modulo a prime are products of the invariant columns' residues,
+and whose row bound comes from the largest value of each invariant.  The
+Schwartz-Zippel re-verification below is independent of that certificate:
+it tests each candidate at fresh points from a much larger box, whose
+invariants are evaluated once per discovery.
 
 Sampling boxes: discovery points use integer entries in [-9, 9] to keep the
 matrix entries, and with them the primes the certificate needs, few;

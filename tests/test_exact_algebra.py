@@ -316,7 +316,7 @@ def test_selected_rows_equal_rank_without_retry(monkeypatch):
     m = random_rank_r_matrix(rng, 60, 12, 7)
     calls = record_reductions(monkeypatch)
     basis = nullspace(m)
-    # every row eliminated once per prime; the kernel entries have up to 19
+    # one modular reduction per prime; the kernel entries have up to 19
     # bits, past the 15-bit bound one prime reconstructs, so two primes
     assert max(v.bit_length() for vec in basis for v in vec) == 19
     assert calls == [(60, _prime(0)), (60, _prime(1))]
@@ -343,3 +343,96 @@ def test_certified_nullspace_equals_full_elimination():
         assert nullspace(m) == want
         assert rank(m) == cols - len(want)
         assert rank(RationalMatrix(tuple(zip(*entries)))) == cols - len(want)
+
+
+def record_eliminations(monkeypatch):
+    """(rows, cols) of every residue block that ``_eliminate`` reduces."""
+    import sym3inv.exact_algebra as ea
+
+    calls = []
+    original = ea._eliminate
+
+    def counting(res, p):
+        calls.append(res.shape)
+        return original(res, p)
+
+    monkeypatch.setattr(ea, "_eliminate", counting)
+    return calls
+
+
+def test_rank_deficient_leading_block_takes_a_second_pass(monkeypatch):
+    # the first 6 rows have rank 3 and the 4 after them raise the rank to 5:
+    # the leading block's kernel is too large, those 4 rows fail it, and the
+    # second pass must give what elimination over all rows gives
+    from sym3inv.exact_algebra import _eliminate, _kernel_mod, _prime
+
+    rng = random.Random(53)
+    while True:
+        left = [[rng.randint(-5, 5) if k < 3 or i >= 6 else 0 for k in range(5)]
+                for i in range(10)]
+        right = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(5)]
+        m = RationalMatrix([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                            for row in left])
+        # ranks from the reference, so that a kernel_mod missing its second
+        # pass fails the checks below instead of looping in nullspace here
+        if (len(reference_nullspace(RationalMatrix(m.entries[:6]))) == 3
+                and len(reference_nullspace(m)) == 1):
+            break
+    p = _prime(0)
+    res = m.residues(p)
+    full = res.copy()
+    pivot_rows, pivots = _eliminate(full, p)
+    free = [c for c in range(6) if c not in pivots]
+    got_p, got_pivots, got_free, got_k = _kernel_mod(p, res, m.cols)
+    assert (got_p, got_pivots, got_free) == (p, pivots, free)
+    assert got_k.tolist() == (-full[pivot_rows][:, free] % p).tolist()
+    assert res.tolist() == m.residues(p).tolist()
+
+    calls = record_eliminations(monkeypatch)
+    basis = nullspace(m)
+    assert basis == reference_nullspace(m) and len(basis) == 1
+    # per prime: the 6 leading rows, then their 3 pivot rows and the 4 rows that failed
+    assert calls[:2] == [(6, 6), (7, 6)]
+
+
+def test_discovery_sectors_eliminate_at_most_their_column_count(monkeypatch):
+    from sym3inv import discover_relations
+    from sym3inv.syzygy import ELEVEN
+
+    calls = record_eliminations(monkeypatch)
+    assert len(discover_relations(ELEVEN, 16, seed=1, sample_count=446)) == 3
+    # one prime and one pass for each sector (2, 14) ... (16, 0), none of
+    # them over all 446 rows
+    assert len(calls) == 15
+    assert all(rows <= cols for rows, cols in calls)
+
+
+def test_certified_rejects_a_last_vector_that_fails_one_row():
+    # all vectors are checked in one product; (1, 1, 0, 1) is zero on rows 0
+    # and 2 and fails row 1 alone, with row 1 . v = -1
+    from sym3inv.exact_algebra import _certified, _prime
+
+    m = RationalMatrix([[1, -1, 0, 0], [0, 0, 1, -1], [2, -2, 0, 0]])
+    good = [(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 2, 2)]
+
+    def residues(k):
+        return _prime(k), m.residues(_prime(k))
+
+    assert _certified(good, residues, m.row_bits)
+    assert not _certified(good + [(1, 1, 0, 1)], residues, m.row_bits)
+
+
+def test_matmul_mod_is_exact_past_2_to_the_16_columns():
+    # products of p - 1 and p - 1 summed over 2^17 columns pass 2^63 unless
+    # the sum is reduced block by block
+    from sym3inv.exact_algebra import _matmul_mod, _PRIME as p
+
+    rng = np.random.default_rng(54)
+    for n in (2 ** 16 - 1, 2 ** 17):
+        res = np.full((2, n), p - 1, dtype=np.int64)
+        res[1] = rng.integers(0, p, n)
+        x = np.full((n, 2), p - 1, dtype=np.int64)
+        x[:, 1] = rng.integers(0, p, n)
+        want = [[sum(a * b for a, b in zip(row, col)) % p for col in x.T.tolist()]
+                for row in res.tolist()]
+        assert _matmul_mod(res, x, p).tolist() == want

@@ -440,6 +440,31 @@ def test_discovery_degree_18_over_the_eleven():
         assert in_span(found, rel)
 
 
+def test_discovery_degree_20_over_the_eleven():
+    # 43 relations at degree 20; the three degree-16 relations times each of
+    # the seven degree-4 products of the eleven are independent and lie in
+    # their span.  The two ranks below take nullspace's second pass: the
+    # leading rows of a transposed coefficient matrix are sparse and miss
+    # most of its rank
+    terms = enumerate_products(ELEVEN, 20)
+    found = discover_relations(ELEVEN, 20, seed=1, sample_count=len(terms) + 10)
+    assert len(found) == 43
+    rels = builtin_relations()
+    products = []
+    for key in ("sixteen_a", "sixteen_b", "sixteen_c"):
+        for term in enumerate_products(ELEVEN, 4):
+            rel = rels[key]
+            for name, e in term.exponents:
+                for _ in range(e):
+                    rel = _times(rel, name)
+            products.append(rel)
+    assert all(r.degree == 20 for r in products)
+    rows = [coefficient_vector(r, terms) for r in products]
+    assert rank(RationalMatrix(rows)) == 21
+    # one rank for all 21 at once: in_span for each would take two ranks apiece
+    assert rank(RationalMatrix([coefficient_vector(r, terms) for r in found] + rows)) == 43
+
+
 # ---- symbolic guard (full expansion, degree <= 4) ----
 
 def test_symbolic_polynomials_match_point_evaluation():
