@@ -52,12 +52,14 @@ so the loop ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
+
+from .tensor_core import _clear_denominators
 
 
 @dataclass(frozen=True)
@@ -94,11 +96,7 @@ class RationalMatrix:
     @cached_property
     def _integer_rows(self):
         """Rows with denominators cleared row by row."""
-        out = []
-        for row in self.entries:
-            scale = lcm(*(e.denominator for e in row))
-            out.append([int(e * scale) for e in row])
-        return out
+        return [_clear_denominators(row)[1] for row in self.entries]
 
     def residues(self, p: int):
         """The integer rows modulo ``p``, as an int64 array."""
@@ -201,8 +199,12 @@ def _crt(images):
     return m, x
 
 
+# A reduced fraction as its integer pair, read like a Fraction by _clear_denominators.
+_Ratio = namedtuple("_Ratio", "numerator denominator")
+
+
 def _rational(u, m):
-    """The fraction n/d = u mod m with |n|, d <= sqrt(m/2), or None (Wang)."""
+    """The reduced pair n/d = u mod m with |n|, d <= sqrt(m/2), d > 0, or None (Wang)."""
     bound = isqrt(m // 2)
     r0, r1, s0, s1 = m, u, 0, 1
     while r1 > bound:
@@ -210,7 +212,7 @@ def _rational(u, m):
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return _Ratio(r1, s1) if s1 > 0 else _Ratio(-r1, -s1)
 
 
 def _kernel_vectors(pivots, free, m, entries):
@@ -236,21 +238,12 @@ def rank(m: RationalMatrix) -> int:
 
 
 def normalize_integer_vector(vec):
-    """Scale to integer entries with gcd 1 and positive first nonzero entry."""
-    scale = 1
-    for v in vec:
-        if isinstance(v, Fraction):
-            scale = lcm(scale, v.denominator)
-    ints = [int(v * scale) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    """Scale exact entries to integers with gcd 1 and positive first nonzero entry."""
+    ints = _clear_denominators(vec)[1]
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def _certified(basis, residues, row_bits):

@@ -11,6 +11,14 @@ I8-bearing terms,
 with the degenerate branches: K6 = 0 whenever 2 I2 J2 - 3 J4 = 0 (which
 happens only for D = 0 or u = 0), and I8 = 0 whenever J2 = 0 (i.e. u = 0).
 
+Exact values (int and Fraction) are solved in integers.  Both relations are
+weighted-homogeneous of degree 10, and every invariant in them has degree
+at least 2.  With m the lcm of the denominators of the values a relation
+uses, y_n = x_n * m**deg(n) is therefore an integer, and each term is m**10
+times its value at x: the integer cofactor den_y is m**(10 - deg(target))
+times den, and the target is -num_y / (den_y * m**deg(target)), one Fraction
+built at the end.  den_y is zero exactly when den is.
+
 Zero tests near the degenerate locus are exact in the rational field.  In
 the float field a cofactor counts as zero when it is at most 1e-12 times a
 quantity of the same bidegree that vanishes only on the degenerate branch:
@@ -25,13 +33,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .invariants import NAMES, InvariantVector
+from .invariants import DEGREE, NAMES, InvariantVector
 from .relations import TEN_A, TEN_B
-from .tensor_core import FLOAT, field_of
+from .tensor_core import FLOAT, _clear_denominators, _is_exact, field_of
 
 ELEVEN_NAMES = tuple(n for n in NAMES if n not in ("K6", "I8"))
 
 FLOAT_ZERO_RTOL = 1e-12
+
+# Each rebuilt invariant: its relation, the other invariants in it, and the
+# quantity that scales the float zero test of its cofactor.
+_SOLVED_FROM = {
+    t: (table, tuple(sorted({n for term in table for n, _ in term} - {t})), scale)
+    for t, table, scale in (("K6", TEN_B, lambda v: v["I2"] * v["J2"]),
+                            ("I8", TEN_A, lambda v: v["J2"]))
+}
 
 
 class ElevenBasis(InvariantVector):
@@ -66,15 +82,22 @@ def _solve_linear_term(table, target: str, values: dict):
     return num, den
 
 
-def _solve_for(table, target: str, vals: dict, scale, field: str):
-    """target from the relation den*target + num = 0; 0 when den is zero.
+def _solve_for(target: str, vals: dict, field: str):
+    """target from its relation den*target + num = 0; 0 when den is zero.
 
     den is zero exactly in the rational field; in floats when
-    |den| <= 1e-12 |scale|, scale of the same bidegree as den.
+    |den| <= 1e-12 |scale|, scale of the same bidegree as den.  Exact values
+    are solved in integers, as the module notes explain.
     """
+    table, names, scale = _SOLVED_FROM[target]
+    if field != FLOAT and _is_exact(vals[n] for n in names):
+        m, ints = _clear_denominators([vals[n] for n in names])
+        y = {n: x * m ** (DEGREE[n] - 1) for n, x in zip(names, ints)}
+        num, den = _solve_linear_term(table, target, y)
+        return Fraction(0) if den == 0 else Fraction(-num, den * m ** DEGREE[target])
     num, den = _solve_linear_term(table, target, vals)
     if field == FLOAT:
-        return 0.0 if abs(den) <= FLOAT_ZERO_RTOL * abs(scale) else -num / den
+        return 0.0 if abs(den) <= FLOAT_ZERO_RTOL * abs(scale(vals)) else -num / den
     return Fraction(0) if den == 0 else -Fraction(num) / Fraction(den)
 
 
@@ -83,14 +106,12 @@ def reconstruct_K6(b: ElevenBasis):
 
     The cofactor of K6 is 2 I2 J2 - 3 J4; when it vanishes, K6 itself is 0.
     """
-    vals = b.as_dict()
-    return _solve_for(TEN_B, "K6", vals, vals["I2"] * vals["J2"], field_of(b.values))
+    return _solve_for("K6", b.as_dict(), field_of(b.values))
 
 
 def reconstruct_I8(b: ElevenBasis, k6):
     """I8 from the eleven basis values plus K6; 0 when J2 = 0 (u = 0)."""
-    vals = {**b.as_dict(), "K6": k6}
-    return _solve_for(TEN_A, "I8", vals, vals["J2"], field_of(b.values))
+    return _solve_for("I8", {**b.as_dict(), "K6": k6}, field_of(b.values))
 
 
 def recover_full_vector(b: ElevenBasis) -> InvariantVector:

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .tensor_core import HarmonicParts, Sym3Tensor, Traceless3Tensor, decompose, expand
+from .tensor_core import (HarmonicParts, Sym3Tensor, Traceless3Tensor, _clear_denominators,
+                          _is_exact, decompose, expand)
 
 NAMES = ("I2", "J2", "I4", "J4", "K4", "L4", "I6", "J6", "K6", "L6", "M6", "I8", "I10")
 
@@ -98,24 +98,20 @@ def all_invariants(h: HarmonicParts) -> InvariantVector:
     is an exact regrouping of the defining multi-index sum, so rational
     inputs give the same exact values as ``reference_invariants``.
 
-    Rational input with ``Fraction`` entries is contracted in integers: D is
+    Exact input (int and ``Fraction``) is contracted in integers: D is
     scaled by the lcm m_D of its denominators and u by m_u, and an invariant
     of bidegree (a, b) is divided by m_D**a * m_u**b at the end.  An
     invariant is a ``Fraction`` exactly when a part it depends on has a
     ``Fraction`` entry, as with plain ``Fraction`` arithmetic.
     """
     d, u = h.deviator.components, h.vector
-    # int, float and symbolic input, and floats mixed with Fractions, are
-    # contracted as given; the type-set test keeps the int path cheap
-    if (Fraction not in set(map(type, d + u))
-            or not all(isinstance(x, (int, Fraction)) for x in d + u)):
+    if not _is_exact(d + u):  # floats, symbols and numpy columns are contracted as given
         return InvariantVector(_contract(expand(h.deviator), u))
     d_frac = any(isinstance(x, Fraction) for x in d)
     u_frac = any(isinstance(x, Fraction) for x in u)
-    m_d = lcm(*(x.denominator for x in d if isinstance(x, Fraction)))
-    m_u = lcm(*(x.denominator for x in u if isinstance(x, Fraction)))
-    scaled = Traceless3Tensor(tuple(int(x * m_d) for x in d))
-    values = _contract(expand(scaled), tuple(int(x * m_u) for x in u))
+    m_d, d_ints = _clear_denominators(d)
+    m_u, u_ints = _clear_denominators(u)
+    values = _contract(expand(Traceless3Tensor(tuple(d_ints))), tuple(u_ints))
     out = []
     for name, value in zip(NAMES, values):
         a, b = BIDEGREE[name]

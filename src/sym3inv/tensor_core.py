@@ -56,6 +56,17 @@ def field_of(values) -> str:
     return FLOAT if any(isinstance(v, float) for v in values) else RATIONAL
 
 
+def _is_exact(values) -> bool:
+    """Whether every value is an int or a Fraction, not a float, symbol or array."""
+    return all(isinstance(x, (int, Fraction)) for x in values)
+
+
+def _clear_denominators(values):
+    """(m, ints): m the lcm of the denominators of exact values, ints the values times m."""
+    m = math.lcm(*(x.denominator for x in values))
+    return m, [x.numerator * (m // x.denominator) for x in values]
+
+
 @dataclass(frozen=True)
 class _Tensor:
     """Components of a symmetric 3D tensor, one per index triple of _INDICES."""
@@ -203,16 +214,29 @@ def _shift_trace_part(cls, t, u, field, sign):
 
     Only cls's stored components are computed, from the expansion t.
     decompose removes the trace part (sign -1), recompose restores it
-    (sign +1); t + (-x) equals t - x exactly in every scalar field.
+    (sign +1); t + (-x) equals t - x exactly in every scalar field.  Exact
+    input is scaled once to integers n = m t, v = m u (m the lcm of the
+    denominators), so each component is exactly Fraction(5 n_ijk + sign *
+    (v-terms), 5 m): one gcd, where Fraction arithmetic takes several.
     """
+    idx = [(a - 1, b - 1, c - 1) for a, b, c in cls._INDICES]
+    if field != FLOAT and _is_exact(values := [t[i][j][k] for i, j, k in idx] + list(u)):
+        m, n = _clear_denominators(values)
+        v = n[-3:]
+        return cls(tuple(
+            Fraction(5 * x + sign * (v[k] * (i == j) + v[j] * (i == k) + v[i] * (j == k)), 5 * m)
+            for x, (i, j, k) in zip(n, idx)))
     fifth = sign * (0.2 if field == FLOAT else Fraction(1, 5))
     return cls(tuple(
         t[i][j][k] + fifth * (u[k] * (i == j) + u[j] * (i == k) + u[i] * (j == k))
-        for i, j, k in ((a - 1, b - 1, c - 1) for a, b, c in cls._INDICES)))
+        for i, j, k in idx))
 
 
 def decompose(a: Sym3Tensor) -> HarmonicParts:
-    """Harmonic decomposition A -> (D, u) with u_i = A_ill."""
+    """Harmonic decomposition A -> (D, u) with u_i = A_ill.
+
+    Exact D is all Fractions, computed in integers; u sums A's own entries.
+    """
     t = expand(a)
     u = tuple(sum(t[i][l][l] for l in range(3)) for i in range(3))
     return HarmonicParts(_shift_trace_part(Traceless3Tensor, t, u, a.field, -1), u)

@@ -1,5 +1,6 @@
 """Reconstruction of K6 and I8 from the eleven-invariant basis."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from sym3inv import (
     reconstruct_I8,
     reconstruct_K6,
 )
-from sym3inv.function_basis import recover_full_vector
+from sym3inv.function_basis import FLOAT_ZERO_RTOL, recover_full_vector
+from sym3inv.invariants import DEGREE
+from sym3inv.relations import TEN_A, TEN_B
 
 F = Fraction
 
@@ -164,3 +167,84 @@ def test_float_reconstruction_scale_free():
                       HarmonicParts(Traceless3Tensor.zero(), (s, -2 * s, 0.5 * s))):
             _, k6, i8 = reconstruct_pair(parts)
             assert k6 == 0.0 and i8 == 0.0
+
+
+def reference_solve(table, target, vals, scale):
+    """target from den*target + num = 0 in plain scalar arithmetic, term by term."""
+    num = den = 0
+    for term, coeff in table.items():
+        prod = coeff
+        for name, exp in term:
+            if name != target:
+                prod = prod * vals[name] ** exp
+        if any(name == target for name, _ in term):
+            den = den + prod
+        else:
+            num = num + prod
+    if any(isinstance(x, float) for x in vals.values()):
+        return 0.0 if abs(den) <= FLOAT_ZERO_RTOL * abs(scale) else -num / den
+    return Fraction(0) if den == 0 else -Fraction(num) / Fraction(den)
+
+
+def reference_pair(b):
+    vals = b.as_dict()
+    k6 = reference_solve(TEN_B, "K6", vals, vals["I2"] * vals["J2"])
+    return k6, reference_solve(TEN_A, "I8", {**vals, "K6": k6}, vals["J2"])
+
+
+def exact_scalar(rng, kind):
+    """An int, a small p/q, a mixed choice of the two, or p/q with q up to 1e6."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "small"))
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "small":
+        return F(rng.randint(-30, 30), rng.randint(1, 6))
+    return F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+
+
+def typed(values):
+    return [(type(x), x) for x in values]
+
+
+def rebuilt_pair(b):
+    k6 = reconstruct_K6(b)
+    return k6, reconstruct_I8(b, k6)
+
+
+def test_reconstruction_matches_fraction_reference_in_value_and_type():
+    rng = random.Random(2028)
+    for _ in range(25):
+        for kind in ("int", "small", "mixed", "large"):
+            for zero_d, zero_u in itertools.product((False, True), repeat=2):
+                d = (0,) * 7 if zero_d else tuple(exact_scalar(rng, kind) for _ in range(7))
+                u = (0,) * 3 if zero_u else tuple(exact_scalar(rng, kind) for _ in range(3))
+                iv = all_invariants(HarmonicParts(Traceless3Tensor(d), u))
+                b = ElevenBasis.from_invariants(iv)
+                assert rebuilt_pair(b) == (iv["K6"], iv["I8"])
+                # the basis values of a tensor, and arbitrary exact values
+                for b in (b, ElevenBasis(tuple(exact_scalar(rng, kind) for _ in range(11)))):
+                    assert typed(rebuilt_pair(b)) == typed(reference_pair(b))
+
+
+def test_reconstruction_float_bit_identical_to_reference():
+    rng = random.Random(2029)
+    for _ in range(200):
+        sd, su = 10.0 ** rng.randint(-8, 8), 10.0 ** rng.randint(-8, 8)
+        d = Traceless3Tensor(tuple(rng.uniform(-2, 2) * sd for _ in range(7)))
+        u = tuple(rng.uniform(-2, 2) * su for _ in range(3))
+        for parts in (HarmonicParts(d, u), HarmonicParts(d, (0.0,) * 3)):
+            b = ElevenBasis.from_invariants(all_invariants(parts))
+            assert typed(rebuilt_pair(b)) == typed(reference_pair(b))
+
+
+def test_degree_ten_relations_are_weighted_homogeneous_and_linear_in_target():
+    # the integer rebuild scales x_n by m**deg(n): it needs every term of
+    # weighted degree 10, every invariant of degree >= 2, and the target
+    # at most linear in each term
+    for table, target in ((TEN_A, "I8"), (TEN_B, "K6")):
+        for term in table:
+            assert sum(DEGREE[name] * exp for name, exp in term) == 10, term
+            assert all(DEGREE[name] >= 2 for name, _ in term), term
+            assert dict(term).get(target, 0) <= 1, term
+        assert any(target in dict(term) for term in table)

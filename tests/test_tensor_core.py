@@ -218,6 +218,77 @@ def test_float_roundtrip_tolerance():
     assert all(abs(x - y) < 1e-12 for x, y in zip(a.components, b.components))
 
 
+def reference_shift(cls, t, u, fifth):
+    """Trace-part shift in plain scalar arithmetic: t_ijk + fifth * (u-terms)."""
+    return cls(tuple(
+        t[i - 1][j - 1][k - 1]
+        + fifth * (u[k - 1] * (i == j) + u[j - 1] * (i == k) + u[i - 1] * (j == k))
+        for i, j, k in cls._INDICES))
+
+
+def reference_decompose(a):
+    t = expand(a)
+    u = tuple(sum(t[i][l][l] for l in range(3)) for i in range(3))
+    fifth = -(0.2 if a.field == FLOAT else F(1, 5))
+    return HarmonicParts(reference_shift(Traceless3Tensor, t, u, fifth), u)
+
+
+def reference_recompose(h):
+    fifth = 0.2 if h.field == FLOAT else F(1, 5)
+    return reference_shift(Sym3Tensor, expand(h.deviator), h.vector, fifth)
+
+
+def typed(values):
+    return [(type(x), x) for x in values]
+
+
+def exact_scalar(rng, kind):
+    """An int, a small p/q, a mixed choice of the two, or p/q with q up to 1e6."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "small"))
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "small":
+        return F(rng.randint(-30, 30), rng.randint(1, 6))
+    return F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+
+
+def parity_parts(rng):
+    """Harmonic parts of every exact kind, including D = 0, u = 0 and both."""
+    for kind in ("int", "small", "mixed", "large"):
+        for zero_d, zero_u in itertools.product((False, True), repeat=2):
+            d = (0,) * 7 if zero_d else tuple(exact_scalar(rng, kind) for _ in range(7))
+            u = (0,) * 3 if zero_u else tuple(exact_scalar(rng, kind) for _ in range(3))
+            yield HarmonicParts(Traceless3Tensor(d), u)
+
+
+def test_decompose_recompose_match_fraction_reference_in_value_and_type():
+    rng = random.Random(2026)
+    for _ in range(25):
+        for h in parity_parts(rng):
+            got, want = recompose(h), reference_recompose(h)
+            assert typed(got.components) == typed(want.components)
+            for a in (got, Sym3Tensor(tuple(exact_scalar(rng, "mixed") for _ in range(10)))):
+                got_h, want_h = decompose(a), reference_decompose(a)
+                assert typed(got_h.deviator.components) == typed(want_h.deviator.components)
+                assert typed(got_h.vector) == typed(want_h.vector)
+    # int input: D is all Fractions and u stays int, as with Fraction arithmetic
+    h = decompose(Sym3Tensor(tuple(range(10))))
+    assert {type(x) for x in h.deviator.components} == {F}
+    assert {type(x) for x in h.vector} == {int}
+
+
+def test_decompose_recompose_float_bit_identical_to_reference():
+    rng = random.Random(2027)
+    for _ in range(200):
+        scale = 10.0 ** rng.randint(-8, 8)
+        a = Sym3Tensor(tuple(rng.uniform(-9, 9) * scale for _ in range(10)))
+        got, want = decompose(a), reference_decompose(a)
+        assert typed(got.deviator.components) == typed(want.deviator.components)
+        assert got.vector == want.vector
+        assert typed(recompose(got).components) == typed(reference_recompose(got).components)
+
+
 # ---- rotate ----
 
 def test_rotate_identity():
