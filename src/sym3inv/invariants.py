@@ -26,7 +26,11 @@ intermediate quantities B_kl = D_ijk D_ijl, v and w; ``reference_invariants``
 is the naive transcription of the defining formulas as explicit multi-index
 loops over the 27-entry expansions.  The two agree exactly in the rational
 field (tested), and the naive path is the reference whenever they could be
-in doubt.
+in doubt.  ``all_invariants`` contracts in straight-line 3- and 9-term dots
+that add left to right from int 0, as builtin sum() did before Python 3.12
+(it compensates float sums since), so float values are the same bits on
+every Python version; one kernel serves ints, Fractions, floats and numpy
+object columns.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tensor_core import (HarmonicParts, Sym3Tensor, Traceless3Tensor, _clear_denominators,
-                          _is_exact, decompose, expand)
+from .tensor_core import (_PAIRS, HarmonicParts, Sym3Tensor, Traceless3Tensor,
+                          _clear_denominators, _dot3, _is_exact, _mirror, decompose, expand)
 
 NAMES = ("I2", "J2", "I4", "J4", "K4", "L4", "I6", "J6", "K6", "L6", "M6", "I8", "I10")
 
@@ -88,6 +92,7 @@ class InvariantVector:
 
 
 def _dot(a, b):
+    """a_0 b_0 + a_1 b_1 + a_2 b_2; unlike _dot3 it keeps a -0.0 result."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
@@ -120,26 +125,32 @@ def all_invariants(h: HarmonicParts) -> InvariantVector:
     return InvariantVector(tuple(out))
 
 
+def _dot9(a, b):
+    """a_0 b_0 + ... + a_8 b_8 added left to right from int 0, as _dot3 does."""
+    return (0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4]
+            + a[5] * b[5] + a[6] * b[6] + a[7] * b[7] + a[8] * b[8])
+
+
 def _bvw(t, u):
-    """B_kl = D_ijk D_ijl, v_p = B_kl D_klp and w_k = D_ijk u_i u_j from the expanded D."""
-    rng = range(3)
-    b = [[sum(t[i][j][k] * t[i][j][l] for i in rng for j in rng) for l in rng]
-         for k in rng]
-    v = tuple(sum(b[k][l] * t[k][l][p] for k in rng for l in rng) for p in rng)
-    w = tuple(sum(t[i][j][k] * u[i] * u[j] for i in rng for j in rng) for k in rng)
+    """B_kl = D_ijk D_ijl, v_p = B_kl D_klp and w_k = D_ijk u_i u_j from the expanded D,
+    as dots over the columns c_k = (D_ijk) in (i, j) order; B_lk mirrors B_kl."""
+    c = list(zip(*(x for plane in t for x in plane)))
+    b = _mirror([_dot9(c[i], c[j]) for i, j in _PAIRS])
+    v = tuple(_dot9(b[0] + b[1] + b[2], col) for col in c)
+    u_i = (u[0],) * 3 + (u[1],) * 3 + (u[2],) * 3
+    w = tuple(_dot9([x * y for x, y in zip(col, u_i)], u * 3) for col in c)
     return b, v, w
 
 
 def _contract(t, u) -> tuple:
     """The thirteen values, in NAMES order, from the expanded D and u."""
-    rng = range(3)
     b, v, w = _bvw(t, u)
-    bu = tuple(sum(b[k][l] * u[k] for k in rng) for l in rng)
-    bv = tuple(sum(b[k][l] * v[k] for k in rng) for l in rng)
+    bu = tuple(_dot3(row, u) for row in b)
+    bv = tuple(_dot3(row, v) for row in b)
 
     i2 = b[0][0] + b[1][1] + b[2][2]
     j2 = _dot(u, u)
-    i4 = sum(b[k][l] * b[k][l] for k in rng for l in rng)
+    i4 = _dot9(b[0] + b[1] + b[2], b[0] + b[1] + b[2])
     j4 = _dot(bu, u)
     k4 = _dot(v, u)
     l4 = _dot(w, u)
@@ -149,7 +160,10 @@ def _contract(t, u) -> tuple:
     l6 = _dot(bu, v)
     m6 = _dot(w, w)
     i8 = _dot(bu, bv)
-    i10 = sum(t[i][j][k] * v[i] * v[j] * v[k] for i in rng for j in rng for k in rng)
+    i10 = 0  # ((D_ijk v_i) v_j) v_k, added left to right over (i, j, k)
+    for plane, vi in zip(t, v):
+        for x, vj in zip(plane, v):
+            i10 = i10 + x[0] * vi * vj * v[0] + x[1] * vi * vj * v[1] + x[2] * vi * vj * v[2]
     return (i2, j2, i4, j4, k4, l4, i6, j6, k6, l6, m6, i8, i10)
 
 

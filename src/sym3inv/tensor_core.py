@@ -33,7 +33,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter, mul
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -50,6 +51,8 @@ TRACELESS_COMPONENT_INDICES = (
 
 ORTHOGONALITY_TOL = 1e-12
 
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # the (i, j), i <= j, row by row
+
 
 def field_of(values) -> str:
     """Scalar field of a collection of components: FLOAT if any float appears."""
@@ -59,6 +62,17 @@ def field_of(values) -> str:
 def _is_exact(values) -> bool:
     """Whether every value is an int or a Fraction, not a float, symbol or array."""
     return all(isinstance(x, (int, Fraction)) for x in values)
+
+
+def _dot3(p, x):
+    """p_0 x_0 + p_1 x_1 + p_2 x_2 added left to right from int 0, as sum() did
+    before Python 3.12 compensated float sums: the same rounding on every version."""
+    return 0 + p[0] * x[0] + p[1] * x[1] + p[2] * x[2]
+
+
+def _mirror(s):
+    """The symmetric 3x3 matrix whose entries at _PAIRS are s."""
+    return ((s[0], s[1], s[2]), (s[1], s[3], s[4]), (s[2], s[4], s[5]))
 
 
 def _clear_denominators(values):
@@ -152,16 +166,10 @@ class Orthogonal3:
         return field_of(e for row in self.matrix for e in row)
 
     def orthogonality_defect(self):
-        """Largest entry of |Q^T Q - I|."""
-        q = self.matrix
-        worst = 0
-        for i in range(3):
-            for j in range(3):
-                s = sum(q[k][i] * q[k][j] for k in range(3))
-                if i == j:
-                    s = s - 1
-                worst = max(worst, abs(s))
-        return worst
+        """Largest entry of |Q^T Q - I|, over its upper triangle (Q^T Q is symmetric)."""
+        c0, c1, c2 = zip(*self.matrix)
+        return max(0, abs(_dot3(c0, c0) - 1), abs(_dot3(c0, c1)), abs(_dot3(c0, c2)),
+                   abs(_dot3(c1, c1) - 1), abs(_dot3(c1, c2)), abs(_dot3(c2, c2) - 1))
 
     def determinant(self):
         q = self.matrix
@@ -214,31 +222,46 @@ def _shift_trace_part(cls, t, u, field, sign):
 
     Only cls's stored components are computed, from the expansion t.
     decompose removes the trace part (sign -1), recompose restores it
-    (sign +1); t + (-x) equals t - x exactly in every scalar field.  Exact
-    input is scaled once to integers n = m t, v = m u (m the lcm of the
-    denominators), so each component is exactly Fraction(5 n_ijk + sign *
-    (v-terms), 5 m): one gcd, where Fraction arithmetic takes several.
+    (sign +1); t + (-x) equals t - x exactly in every scalar field.
     """
     idx = [(a - 1, b - 1, c - 1) for a, b, c in cls._INDICES]
     if field != FLOAT and _is_exact(values := [t[i][j][k] for i, j, k in idx] + list(u)):
         m, n = _clear_denominators(values)
-        v = n[-3:]
-        return cls(tuple(
-            Fraction(5 * x + sign * (v[k] * (i == j) + v[j] * (i == k) + v[i] * (j == k)), 5 * m)
-            for x, (i, j, k) in zip(n, idx)))
+        return _shift_scaled(cls, n, n[-3:], m, sign)
     fifth = sign * (0.2 if field == FLOAT else Fraction(1, 5))
     return cls(tuple(
         t[i][j][k] + fifth * (u[k] * (i == j) + u[j] * (i == k) + u[i] * (j == k))
         for i, j, k in idx))
 
 
+def _shift_scaled(cls, n, v, m, sign):
+    """_shift_trace_part on exact input scaled to integers: n = m t (cls's stored
+    components) and v = m u give each component as one Fraction(5 n_ijk + sign *
+    (v-terms), 5 m), one gcd where Fraction arithmetic takes several."""
+    return cls(tuple(
+        Fraction(5 * x + sign * (v[k] * (i == j) + v[j] * (i == k) + v[i] * (j == k)), 5 * m)
+        for x, (i, j, k) in zip(n, ((a - 1, b - 1, c - 1) for a, b, c in cls._INDICES))))
+
+
+_TRACE_SLOTS = ((0, 3, 5), (1, 6, 8), (2, 7, 9))  # storage slots of A_i11, A_i22, A_i33
+
+
 def decompose(a: Sym3Tensor) -> HarmonicParts:
     """Harmonic decomposition A -> (D, u) with u_i = A_ill.
 
-    Exact D is all Fractions, computed in integers; u sums A's own entries.
+    Exact input is scaled once to integers n = m A.  D is then all Fractions;
+    u_i is a Fraction when one of its summands is, else an int, as in Fraction sums.
     """
+    c = a.components
+    if _is_exact(c):
+        m, n = _clear_denominators(c)
+        v = [n[i] + n[j] + n[k] for i, j, k in _TRACE_SLOTS]
+        u = tuple(Fraction(x, m) if any(isinstance(c[s], Fraction) for s in slots) else x // m
+                  for x, slots in zip(v, _TRACE_SLOTS))
+        # D's stored triples are A's but (1, 3, 3), (2, 3, 3) and (3, 3, 3)
+        return HarmonicParts(_shift_scaled(Traceless3Tensor, n[:5] + n[6:8], v, m, -1), u)
     t = expand(a)
-    u = tuple(sum(t[i][l][l] for l in range(3)) for i in range(3))
+    u = tuple(0 + p[0][0] + p[1][1] + p[2][2] for p in t)
     return HarmonicParts(_shift_trace_part(Traceless3Tensor, t, u, a.field, -1), u)
 
 
@@ -247,30 +270,27 @@ def recompose(h: HarmonicParts) -> Sym3Tensor:
     return _shift_trace_part(Sym3Tensor, expand(h.deviator), h.vector, h.field, 1)
 
 
-def _contract_last(m, t):
-    """result_kij = m_kc t_ijc: contract the last index with m, then move it first."""
-    rng = range(3)
-    return [[[sum(m[k][c] * t[i][j][c] for c in rng) for j in rng] for i in rng] for k in rng]
-
-
 def rotate(t, q: Orthogonal3):
     """Orthogonal transformation: result_ijk = q_ia q_jb q_kc t_abc.
 
     Accepts a Sym3Tensor or a Traceless3Tensor and returns the same type
     (the transform preserves both symmetry and tracelessness).  The
-    contraction runs one index at a time on the full 27-entry expansion
-    (third, second, first), which agrees exactly with the naive triple-sum.
+    contraction runs one index at a time, over only what the stored
+    components read: p_kab = q_kc t_abc (symmetric in a, b), r_jkb =
+    q_jc p_kbc for j <= k, then q_ib r_jkb.  Each entry adds its three
+    products left to right from int 0: exact results equal the naive triple
+    sum, and floats round the same way on every Python version.
     """
     q.validate()
+    m = q.matrix
     a = expand(t)
-    for _ in range(3):
-        a = _contract_last(q.matrix, a)
-    return type(t)._from_expanded(a)
+    p = [_mirror([_dot3(mk, a[i][j]) for i, j in _PAIRS]) for mk in m]
+    r = {(j, k): [_dot3(m[j], row) for row in p[k]] for j, k in _PAIRS}
+    return type(t)(tuple(_dot3(m[i - 1], r[j - 1, k - 1]) for i, j, k in type(t)._INDICES))
 
 
 def rotate_vector(u, q: Orthogonal3) -> tuple:
-    m = q.matrix
-    return tuple(sum(m[i][j] * u[j] for j in range(3)) for i in range(3))
+    return tuple(_dot3(row, u) for row in q.matrix)
 
 
 def random_sym3(seed: int, field: str = RATIONAL, bound: int = 9) -> Sym3Tensor:
@@ -297,9 +317,9 @@ def orthonormalize(vectors):
     for vector in vectors:
         v = list(vector)
         for p in basis:
-            dot = sum(x * y for x, y in zip(v, p))
+            dot = reduce(add, map(mul, v, p), 0)
             v = [x - dot * y for x, y in zip(v, p)]
-        n = math.sqrt(sum(x * x for x in v))
+        n = math.sqrt(reduce(add, map(mul, v, v), 0))
         if n < 1e-8:
             return None
         basis.append([x / n for x in v])

@@ -209,6 +209,55 @@ def test_fraction_entries_match_reference_values_and_types():
         assert [type(v) for v in got] == [type(v) for v in want]
 
 
+def ltr(terms):
+    """The terms added left to right from int 0 (builtin sum() compensates floats since 3.12)."""
+    acc = 0
+    for x in terms:
+        acc = acc + x
+    return acc
+
+
+def grouped_reference(h):
+    """all_invariants' grouping through B, v and w, each sum added left to right from 0."""
+    t, u, r = expand(h.deviator), h.vector, range(3)
+    b = [[ltr(t[i][j][k] * t[i][j][l] for i in r for j in r) for l in r] for k in r]
+    v = [ltr(b[k][l] * t[k][l][p] for k in r for l in r) for p in r]
+    w = [ltr(t[i][j][k] * u[i] * u[j] for i in r for j in r) for k in r]
+    bu = [ltr(b[k][l] * u[k] for k in r) for l in r]
+    bv = [ltr(b[k][l] * v[k] for k in r) for l in r]
+
+    def dot(x, y):
+        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+    i4 = ltr(b[k][l] * b[k][l] for k in r for l in r)
+    i10 = ltr(t[i][j][k] * v[i] * v[j] * v[k] for i in r for j in r for k in r)
+    return (b[0][0] + b[1][1] + b[2][2], dot(u, u), i4, dot(bu, u), dot(v, u), dot(w, u),
+            dot(v, v), dot(bu, w), dot(v, w), dot(bu, v), dot(w, w), dot(bu, bv), i10)
+
+
+def test_float_invariants_add_left_to_right_from_zero():
+    # bit for bit (and sign of zero) on every Python version; exact parts
+    # keep their values and int/Fraction types
+    rng = random.Random(2029)
+    parts = []
+    for _ in range(200):
+        scale = 10.0 ** rng.randint(-30, 30)
+        d, u = ([rng.choice((0.0, -0.0, rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale))
+                 for _ in range(n)] for n in (7, 3))
+        parts.append(HarmonicParts(Traceless3Tensor(tuple(d)), u))
+    parts.append(HarmonicParts(Traceless3Tensor((-0.0,) * 7), (-0.0, 0.0, -0.0)))
+    for _ in range(20):
+        parts.append(random_parts(rng))
+        parts.append(HarmonicParts(
+            Traceless3Tensor(tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(7))),
+            tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3))))
+    for h in parts:
+        got, want = all_invariants(h).values, grouped_reference(h)
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert got == want
+        assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+
+
 def test_parity_under_vector_flip():
     rng = random.Random(22)
     for _ in range(300):

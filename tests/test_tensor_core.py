@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -60,14 +61,30 @@ def rotate_naive(t, q):
     ]
 
 
+def ltr(terms):
+    """The terms added left to right from int 0 (builtin sum() compensates floats since 3.12)."""
+    acc = 0
+    for x in terms:
+        acc = acc + x
+    return acc
+
+
+def same_bits(got, want):
+    """Equal in type and value, and for floats also in the sign of zero."""
+    return len(got) == len(want) and all(
+        type(x) is type(y) and x == y
+        and (not isinstance(x, float) or math.copysign(1.0, x) == math.copysign(1.0, y))
+        for x, y in zip(got, want))
+
+
 def rotate_three_passes(t, q):
     """Sequential reference: contract the third index, then the second, then the first."""
     m = q.matrix
     a = expand(t)
     rng = range(3)
-    t1 = [[[sum(m[k][c] * a[i][j][c] for c in rng) for k in rng] for j in rng] for i in rng]
-    t2 = [[[sum(m[j][b] * t1[i][b][k] for b in rng) for k in rng] for j in rng] for i in rng]
-    t3 = [[[sum(m[i][b] * t2[b][j][k] for b in rng) for k in rng] for j in rng] for i in rng]
+    t1 = [[[ltr(m[k][c] * a[i][j][c] for c in rng) for k in rng] for j in rng] for i in rng]
+    t2 = [[[ltr(m[j][b] * t1[i][b][k] for b in rng) for k in rng] for j in rng] for i in rng]
+    t3 = [[[ltr(m[i][b] * t2[b][j][k] for b in rng) for k in rng] for j in rng] for i in rng]
     indices = SYM_COMPONENT_INDICES if isinstance(t, Sym3Tensor) else TRACELESS_COMPONENT_INDICES
     return tuple(t3[i - 1][j - 1][k - 1] for i, j, k in indices)
 
@@ -228,7 +245,7 @@ def reference_shift(cls, t, u, fifth):
 
 def reference_decompose(a):
     t = expand(a)
-    u = tuple(sum(t[i][l][l] for l in range(3)) for i in range(3))
+    u = tuple(ltr(t[i][l][l] for l in range(3)) for i in range(3))
     fifth = -(0.2 if a.field == FLOAT else F(1, 5))
     return HarmonicParts(reference_shift(Traceless3Tensor, t, u, fifth), u)
 
@@ -276,6 +293,15 @@ def test_decompose_recompose_match_fraction_reference_in_value_and_type():
     h = decompose(Sym3Tensor(tuple(range(10))))
     assert {type(x) for x in h.deviator.components} == {F}
     assert {type(x) for x in h.vector} == {int}
+    # u_i = A_i11 + A_i22 + A_i33 is a Fraction exactly when one of its
+    # summands is, integral Fractions included, and an int otherwise
+    for kind in ("int", "small", "mixed", "large"):
+        for _ in range(40):
+            a = Sym3Tensor(tuple(exact_scalar(rng, kind) for _ in range(10)))
+            assert typed(decompose(a).vector) == typed(reference_decompose(a).vector)
+    a = Sym3Tensor((F(2), 0, 0, 1, 0, 3, 0, 0, F(1, 2), 0))
+    assert typed(decompose(a).vector) == [(F, 6), (F, F(1, 2)), (int, 0)]
+    assert typed(decompose(a).vector) == typed(reference_decompose(a).vector)
 
 
 def test_decompose_recompose_float_bit_identical_to_reference():
@@ -287,6 +313,77 @@ def test_decompose_recompose_float_bit_identical_to_reference():
         assert typed(got.deviator.components) == typed(want.deviator.components)
         assert got.vector == want.vector
         assert typed(recompose(got).components) == typed(reference_recompose(got).components)
+
+
+def reference_orthonormalize(vectors):
+    basis = []
+    for vector in vectors:
+        v = list(vector)
+        for p in basis:
+            dot = ltr(x * y for x, y in zip(v, p))
+            v = [x - dot * y for x, y in zip(v, p)]
+        n = math.sqrt(ltr(x * x for x in v))
+        if n < 1e-8:
+            return None
+        basis.append([x / n for x in v])
+    return basis
+
+
+def reference_defect(q):
+    m = q.matrix
+    worst = 0
+    for i in range(3):
+        for j in range(3):
+            s = ltr(m[k][i] * m[k][j] for k in range(3))
+            if i == j:
+                s = s - 1
+            worst = max(worst, abs(s))
+    return worst
+
+
+EXACT_ORTHOGONAL = (
+    Orthogonal3(((0, 0, 1), (0, -1, 0), (1, 0, 0))),
+    Orthogonal3(((F(3, 5), F(4, 5), 0), (F(-4, 5), F(3, 5), 0), (0, 0, 1))),
+    Orthogonal3(((F(1, 3), F(2, 3), F(2, 3)), (F(2, 3), F(1, 3), F(-2, 3)),
+                 (F(2, 3), F(-2, 3), F(1, 3)))),
+)
+
+
+def kernel_inputs(rng):
+    """Float tensors with signed zeros at 1e-30..1e30 and exact ones, each with a Q."""
+    for n in range(240):
+        scale = 10.0 ** rng.randrange(-30, 31, 6)
+        comps = tuple(rng.choice((0.0, -0.0, rng.uniform(-9, 9) * scale,
+                                  rng.uniform(-9, 9) * scale)) for _ in range(10))
+        q = EXACT_ORTHOGONAL[n % 3] if n % 4 == 0 else random_orthogonal(n, (1, -1)[n % 2])
+        yield Sym3Tensor(comps), q
+    yield Sym3Tensor((-0.0,) * 10), random_orthogonal(1, -1)
+    for n, kind in enumerate(("int", "small", "mixed", "large") * 6):
+        yield Sym3Tensor(tuple(exact_scalar(rng, kind) for _ in range(10))), EXACT_ORTHOGONAL[n % 3]
+
+
+def test_float_kernels_add_left_to_right_from_zero():
+    # each entry adds its products in the naive index order from int 0, as
+    # sum() did before Python 3.12, so floats round alike on every version;
+    # exact input must keep its values and int/Fraction types
+    rng = random.Random(2028)
+    for a, q in kernel_inputs(rng):
+        h, want = decompose(a), reference_decompose(a)
+        assert same_bits(h.deviator.components, want.deviator.components)
+        assert same_bits(h.vector, want.vector)
+        for t in (a, h.deviator):
+            assert same_bits(rotate(t, q).components, rotate_three_passes(t, q))
+        m = q.matrix
+        want_u = [ltr(m[i][j] * h.vector[j] for j in range(3)) for i in range(3)]
+        assert same_bits(rotate_vector(h.vector, q), want_u)
+        assert same_bits([q.orthogonality_defect()], [reference_defect(q)])
+    for _ in range(100):
+        scale = 10.0 ** rng.randint(-30, 30)
+        vectors = [[rng.choice((-0.0, rng.uniform(-1, 1) * scale)) for _ in range(3)]
+                   for _ in range(3)]
+        got, want = orthonormalize(vectors), reference_orthonormalize(vectors)
+        assert (got is None) == (want is None)
+        assert got is None or all(same_bits(x, y) for x, y in zip(got, want))
 
 
 # ---- rotate ----
