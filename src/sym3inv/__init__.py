@@ -31,6 +31,7 @@ from .syzygy import (
     enumerate_products,
     evaluate_products,
     in_span,
+    invariant_dimension,
     verify_relation,
 )
 from .tensor_core import (
@@ -59,8 +60,8 @@ __all__ = [
     "SyzygyRelation", "Traceless3Tensor", "WITNESS_CASES",
     "all_invariants", "builtin_relations", "check_witness", "decompose",
     "discover_relations", "enumerate_products", "evaluate_products", "expand",
-    "in_span", "inner_solve_u", "invariants_of", "load_tensor", "minimize",
-    "objective", "random_orthogonal", "random_sym3",
+    "in_span", "inner_solve_u", "invariant_dimension", "invariants_of", "load_tensor",
+    "minimize", "objective", "random_orthogonal", "random_sym3",
     "reconstruct_I8", "reconstruct_K6", "recompose", "reference_invariants",
     "rotate", "save_tensor", "deviator_invariants", "verify_relation", "witness_tensor",
 ]

@@ -30,13 +30,15 @@ in doubt.  ``all_invariants`` contracts in straight-line 3- and 9-term dots
 that add left to right from int 0, as builtin sum() did before Python 3.12
 (it compensates float sums since), so float values are the same bits on
 every Python version; one kernel serves ints, Fractions, floats and numpy
-object columns.
+object columns.  ``reference_invariants`` adds its loops in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .tensor_core import (_PAIRS, HarmonicParts, Sym3Tensor, Traceless3Tensor,
                           _clear_denominators, _dot3, _is_exact, _mirror, decompose, expand)
@@ -167,56 +169,65 @@ def _contract(t, u) -> tuple:
     return (i2, j2, i4, j4, k4, l4, i6, j6, k6, l6, m6, i8, i10)
 
 
+def _ltr(terms):
+    """The terms added left to right from int 0, as sum() did before Python 3.12."""
+    return reduce(add, terms, 0)
+
+
 def reference_invariants(h: HarmonicParts) -> InvariantVector:
-    """Naive evaluation: each defining formula as one explicit multi-index loop."""
+    """Naive evaluation: each defining formula as one explicit multi-index loop.
+
+    Each loop adds its terms left to right from int 0 (``_ltr``), so float
+    values are the same bits on every Python version.
+    """
     t = expand(h.deviator)
     u = h.vector
     rng = range(3)
     v = tuple(
-        sum(t[i][j][k] * t[i][j][l] * t[k][l][p]
-            for i in rng for j in rng for k in rng for l in rng)
+        _ltr(t[i][j][k] * t[i][j][l] * t[k][l][p]
+             for i in rng for j in rng for k in rng for l in rng)
         for p in rng
     )
     w = tuple(
-        sum(t[i][j][k] * u[i] * u[j] for i in rng for j in rng) for k in rng
+        _ltr(t[i][j][k] * u[i] * u[j] for i in rng for j in rng) for k in rng
     )
-    i2 = sum(t[i][j][k] * t[i][j][k] for i in rng for j in rng for k in rng)
-    j2 = sum(u[i] * u[i] for i in rng)
-    i4 = sum(
+    i2 = _ltr(t[i][j][k] * t[i][j][k] for i in rng for j in rng for k in rng)
+    j2 = _ltr(u[i] * u[i] for i in rng)
+    i4 = _ltr(
         t[i][j][k] * t[i][j][l] * t[p][q][k] * t[p][q][l]
         for i in rng for j in rng for k in rng for l in rng for p in rng for q in rng
     )
-    j4 = sum(
+    j4 = _ltr(
         t[i][j][k] * u[k] * t[i][j][l] * u[l]
         for i in rng for j in rng for k in rng for l in rng
     )
-    k4 = sum(
+    k4 = _ltr(
         t[i][j][k] * t[i][j][l] * t[k][l][p] * u[p]
         for i in rng for j in rng for k in rng for l in rng for p in rng
     )
-    l4 = sum(
+    l4 = _ltr(
         t[i][j][k] * u[k] * u[j] * u[i] for i in rng for j in rng for k in rng
     )
-    i6 = sum(v[i] * v[i] for i in rng)
-    j6 = sum(
+    i6 = _ltr(v[i] * v[i] for i in rng)
+    j6 = _ltr(
         t[i][j][k] * t[i][j][l] * u[k] * t[l][p][q] * u[p] * u[q]
         for i in rng for j in rng for k in rng for l in rng for p in rng for q in rng
     )
-    k6 = sum(v[k] * w[k] for k in rng)
-    l6 = sum(
+    k6 = _ltr(v[k] * w[k] for k in rng)
+    l6 = _ltr(
         t[i][j][k] * t[i][j][l] * u[k] * v[l]
         for i in rng for j in rng for k in rng for l in rng
     )
-    m6 = sum(
+    m6 = _ltr(
         t[i][j][k] * t[p][q][k] * u[i] * u[j] * u[p] * u[q]
         for i in rng for j in rng for k in rng for p in rng for q in rng
     )
-    i8 = sum(
+    i8 = _ltr(
         t[i][j][k] * t[i][j][l] * u[k] * t[p][q][l] * t[p][q][r] * v[r]
         for i in rng for j in rng for k in rng for l in rng
         for p in rng for q in rng for r in rng
     )
-    i10 = sum(
+    i10 = _ltr(
         t[i][j][k] * v[i] * v[j] * v[k] for i in rng for j in rng for k in rng
     )
     return InvariantVector((i2, j2, i4, j4, k4, l4, i6, j6, k6, l6, m6, i8, i10))

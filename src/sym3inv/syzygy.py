@@ -6,23 +6,41 @@ rational point; ``discover_relations`` finds all relations at a degree by
 building exact evaluation matrices at seeded random rational points, one per
 bidegree sector, and computing their nullspaces.
 
-Identity checking is by exact evaluation at random points rather than full
-symbolic expansion.  A nonzero polynomial of total degree d in the 10 tensor
-variables vanishes at a uniform random point of the integer box
-[-1e6, 1e6]^10 with probability <= d / (2e6 + 1) (Schwartz-Zippel): at most
-1e-5 up to degree 20, so twenty independent exact zero evaluations leave a
-chance of at most 1e-100; the evaluations carry no rounding, so a zero
-residual is a zero residual.  A full symbolic expansion cross-check is
-provided at degree <= 4 only (``symbolic_relation_vectors``), as a guard on
-the evaluation pipeline itself.
-
 Any polynomial identity among the invariants splits into bihomogeneous
 components, because every invariant is homogeneous separately in D and in u:
 scaling the two parts independently must preserve the identity.  Discovery
 therefore groups the products by bidegree, evaluates each group into its own
 sector matrix and computes one nullspace per sector; the union spans exactly
 the relations at that degree, at a small fraction of the cost of eliminating
-one matrix of all products.
+one matrix of all products.  The products, and each sector's layout, are
+enumerated once per basis and degree.
+
+Most sectors are proven by a count.  The products of bidegree (a, b) are
+O(3)-invariants of that bidegree, which form a space of dimension
+``invariant_dimension(a, b)``, and row i of the sample matrix is the linear
+map "evaluate at point i" applied to each product.  The sample matrix thus
+factors through that space: its rank is at most the dimension, and its
+kernel contains every true relation.  Where the exact sample rank equals the
+dimension, the products' span has full dimension, so the true relations
+have exactly as many dimensions as the sample kernel: the kernel is the
+relation space, with no probabilistic step.  A rank above the dimension is
+impossible and raises.  Over the thirteen, which generate every invariant,
+the products span each sector's invariants, so the count certifies every
+sector whose samples reach that rank.  Over the eleven it does not where
+relations exist: there the products miss the K6- and I8-bearing
+invariants, and the rank stays below the dimension.
+
+Candidates from uncertified sectors are checked by exact evaluation at
+fresh random points rather than by full symbolic expansion.  A nonzero
+polynomial of total degree d in the 10 tensor variables vanishes at a
+uniform random point of the integer box [-1e6, 1e6]^10 with probability
+<= d / (2e6 + 1) (Schwartz-Zippel): at most 1e-5 up to degree 20, so twenty
+independent exact zero evaluations leave a chance of at most 1e-100; the
+evaluations carry no rounding, so a zero residual is a zero residual.  The
+fresh points are drawn and evaluated only when some candidate needs them.
+A full symbolic expansion cross-check is provided at degree <= 4 only
+(``symbolic_relation_vectors``), as a guard on the evaluation pipeline
+itself.
 
 Each sector has many more sample rows than product columns.  Modulo each
 word-size prime, ``nullspace`` eliminates only as many leading rows as the
@@ -33,20 +51,18 @@ Chinese remaindering and rational reconstruction, and certifies every
 kernel vector against every sample row modulo enough primes that a zero
 residue is an exact zero, adding a prime until the certificate holds.  The
 kernel it returns is therefore the kernel of the whole sector matrix, the
-same vectors exact elimination gives (see ``exact_algebra``).  No
-big-integer matrix is built for this: a sector is a ``_SectorMatrix``, whose
-residues modulo a prime are products of the invariant columns' residues,
-and whose row bound comes from the largest value of each invariant.  The
-Schwartz-Zippel re-verification below is independent of that certificate:
-it tests each candidate at fresh points from a much larger box, whose
-invariants are evaluated once per discovery.
+same vectors exact elimination gives (see ``exact_algebra``), and its
+length gives the exact sample rank.  No big-integer matrix is built for
+this: a sector is a ``_SectorMatrix``, whose residues modulo a prime are
+products of the invariant columns' residues, and whose row bound comes from
+the largest value of each invariant.
 
 Sampling boxes: discovery points use integer entries in [-9, 9] to keep the
 matrix entries, and with them the primes the certificate needs, few;
 re-verification points use [-1e6, 1e6] to drive the Schwartz-Zippel bound.
 
-Both point sets are evaluated as columns: ``_random_columns`` stacks n
-successive draws into one ``HarmonicParts`` whose ten coordinates are numpy
+Both point sets are evaluated as columns: ``_random_columns`` draws n
+points straight into one ``HarmonicParts`` whose ten coordinates are numpy
 object arrays of Python ints, so a single ``all_invariants`` call gives
 every invariant at every point, and ``verify_relation`` on that point gives
 one exact residual per point.  The draws, and with them the sample matrices
@@ -58,7 +74,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -173,8 +189,14 @@ def enumerate_products(basis: str, degree: int):
 
     Deterministic order: descending lexicographic in the exponent vector over
     the canonical invariant order, so e.g. degree 4 over the thirteen gives
-    I2^2, I2*J2, J2^2, I4, J4, K4, L4.
+    I2^2, I2*J2, J2^2, I4, J4, K4, L4.  The list is built once per basis and
+    degree; each call returns a fresh copy.
     """
+    return list(_products(basis, degree))
+
+
+@lru_cache(maxsize=None)
+def _products(basis: str, degree: int) -> tuple:
     if degree < 2 or degree % 2 != 0:
         raise ValueError("degree must be an even integer >= 2")
     names = BASIS_NAMES[basis]
@@ -190,7 +212,77 @@ def enumerate_products(basis: str, degree: int):
             for rest in gen(i + 1, remaining - e * d):
                 yield (((names[i], e),) if e else ()) + rest
 
-    return [ProductTerm(t) for t in gen(0, degree) if t]
+    return tuple(ProductTerm(t) for t in gen(0, degree) if t)
+
+
+@lru_cache(maxsize=None)
+def _sectors(basis: str, degree: int) -> tuple:
+    """The bidegree sectors discovery eliminates, in sorted order.
+
+    One (bidegree, products, factors) per sector with at least two products
+    (a single product cannot vanish identically).  ``factors`` lists, per
+    invariant, the sector columns whose product has it as a factor and its
+    exponents there, as ``_SectorMatrix.residues`` reads them.
+    """
+    groups = {}
+    for t in _products(basis, degree):
+        groups.setdefault(t.bidegree, []).append(t)
+    out = []
+    for key in sorted(groups):
+        sector = tuple(groups[key])
+        if len(sector) < 2:
+            continue
+        factors = []
+        for name in dict.fromkeys(n for t in sector for n, _ in t.exponents):
+            e = np.array([dict(t.exponents).get(name, 0) for t in sector])
+            j = np.flatnonzero(e)
+            factors.append((name, j, e[j]))
+        out.append((key, sector, tuple(factors)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def invariant_dimension(a: int, b: int) -> int:
+    """Dimension of the O(3)-invariant polynomials of bidegree (a, b) in (D, u).
+
+    D ranges over H3, the 7-dimensional harmonic tensors, and u over H1, the
+    vectors, so these polynomials are Sym^a(H3) (x) Sym^b(H1).  Inversion -I
+    acts on both by -1, hence on the product by (-1)^(a + b): an odd a + b
+    has no invariants.  Otherwise the SO(3)-invariants number the weight-0
+    minus the weight-1 multiplicity of the product, since each irreducible
+    H_l has every weight -l..l once (Molien-Weyl; Sturmfels, Algorithms in
+    Invariant Theory, 2.2).  A sector's sample matrix factors through this
+    space, so its rank is at most the dimension (see the module notes).
+    """
+    if a < 0 or b < 0:
+        raise ValueError("bidegree must be non-negative")
+    if (a + b) % 2:
+        return 0
+    x, y = _weight_multiplicities(3, a), _weight_multiplicities(1, b)
+
+    def multiplicity(w):
+        # weight i - 3a of Sym^a(H3) plus weight j - b of Sym^b(H1) equals w
+        return sum(x[i] * y[w + 3 * a + b - i] for i in range(len(x))
+                   if 0 <= w + 3 * a + b - i < len(y))
+
+    return multiplicity(0) - multiplicity(1)
+
+
+@lru_cache(maxsize=None)
+def _weight_multiplicities(l: int, n: int) -> tuple:
+    """Entry w: the multiplicity of weight w - l*n in Sym^n(H_l), w = 0..2ln.
+
+    A weight of Sym^n(H_l) is a sum of n weights of H_l, each once in
+    -l..l, so entry w counts the multisets of n values 0..2l summing to w.
+    """
+    top = 2 * l * n
+    counts = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(n)]
+    for v in range(2 * l + 1):
+        for k in range(1, n + 1):
+            row, fewer = counts[k], counts[k - 1]
+            for w in range(v, top + 1):
+                row[w] += fewer[w - v]
+    return tuple(counts[n])
 
 
 def evaluate_products(terms, h: HarmonicParts):
@@ -232,9 +324,12 @@ def _random_columns(rng: random.Random, bound: int, n: int) -> HarmonicParts:
     Each of the ten coordinates is a length-n numpy object array of Python
     ints, entry i from draw i.  ``all_invariants`` contracts such columns
     exactly as it contracts scalars, so one call evaluates all n points.
+    The ten coordinates of each draw are drawn straight into the array:
+    ``randrange(-bound, bound + 1)`` is what ``randint(-bound, bound)`` calls.
     """
-    draws = [random_harmonic_parts(rng, bound) for _ in range(n)]
-    coords = np.array([h.deviator.components + h.vector for h in draws], dtype=object).T
+    draw = rng.randrange
+    flat = [draw(-bound, bound + 1) for _ in range(10 * n)]
+    coords = np.array(flat, dtype=object).reshape(n, 10).T
     return HarmonicParts(Traceless3Tensor(tuple(coords[:7])), tuple(coords[7:]))
 
 
@@ -244,24 +339,20 @@ class _SectorMatrix:
     Row i holds the sector's products at sample i.  ``residues(p)``
     multiplies each product's factors modulo p in int64, from tables of the
     invariant columns' powers modulo p that are built once per prime and
-    shared by all sectors of a discovery (``modular``).  Every entry is an
+    shared by all sectors of a discovery (``modular``); ``factors`` is the
+    sector's layout from ``_sectors``.  Every entry is an
     integer whose magnitude is below 2 to the sum, over its factors, of
     exponent times the bit length of the factor's largest value;
     ``row_bits`` adds the bit length of the column count to the largest
     such sum.  ``entries``, the exact matrix, is computed only when read.
     """
 
-    def __init__(self, sector, columns, bits, modular):
-        self.sector, self.columns, self.modular = sector, columns, modular
+    def __init__(self, sector, factors, columns, bits, modular):
+        self.sector, self.factors = sector, factors
+        self.columns, self.modular = columns, modular
         self.rows, self.cols = len(next(iter(columns.values()))), len(sector)
         self.row_bits = (max(sum(e * bits[name] for name, e in t.exponents) for t in sector)
                          + self.cols.bit_length())
-        # per invariant: the columns whose product has it as a factor, and its exponents there
-        self.factors = []
-        for name in dict.fromkeys(n for t in sector for n, _ in t.exponents):
-            e = np.array([dict(t.exponents).get(name, 0) for t in sector])
-            j = np.flatnonzero(e)
-            self.factors.append((name, j, e[j]))
 
     def residues(self, p: int):
         if p not in self.modular:
@@ -294,8 +385,10 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
     Evaluates the products at sample_count seeded random rational points,
     one evaluation matrix per bidegree sector (see module notes on
     bihomogeneity), and returns one normalized SyzygyRelation per vector of
-    each sector's exact nullspace.  Every candidate is re-verified at 20
-    fresh points from the large re-verification box; a candidate failing
+    each sector's exact nullspace.  A sector whose sample rank equals its
+    ``invariant_dimension`` is certified: its kernel is its relation space.
+    Only candidates from the other sectors are re-verified, at 20 fresh
+    points from the large re-verification box; a candidate failing
     re-verification is discarded with a warning (this would indicate an
     unlucky sample set).
     """
@@ -309,29 +402,26 @@ def discover_relations(basis: str, degree: int, seed: int, sample_count: int):
     bits = {name: max(map(abs, col)).bit_length() for name, col in columns.items()}
     modular = {}
 
-    sectors = {}
-    for t in terms:
-        sectors.setdefault(t.bidegree, []).append(t)
-
-    found = []
-    for key in sorted(sectors):
-        sector = sectors[key]
-        if len(sector) < 2:
-            continue  # a single product cannot vanish identically
-        for vec in nullspace(_SectorMatrix(sector, columns, bits, modular)):
-            found.append(SyzygyRelation(
-                tuple((c, t) for c, t in zip(vec, sector) if c), degree, basis))
-
-    fresh = all_invariants(_random_columns(random.Random(f"{seed}:reverify"),
-                                           REVERIFY_BOUND, REVERIFY_POINTS))
-    kept = []
-    for rel in found:
-        if all(r == 0 for r in _residual(rel, fresh)):
+    fresh, kept = None, []
+    for key, sector, factors in _sectors(basis, degree):
+        kernel = nullspace(_SectorMatrix(sector, factors, columns, bits, modular))
+        sample_rank, dim = len(sector) - len(kernel), invariant_dimension(*key)
+        if sample_rank > dim:
+            raise RuntimeError(f"sector {key}: sample rank {sample_rank} exceeds "
+                               f"the invariant dimension {dim}")
+        for vec in kernel:
+            rel = SyzygyRelation(tuple((c, t) for c, t in zip(vec, sector) if c), degree, basis)
+            if sample_rank < dim:  # not certified: re-verify at fresh points
+                if fresh is None:
+                    fresh = all_invariants(_random_columns(
+                        random.Random(f"{seed}:reverify"), REVERIFY_BOUND, REVERIFY_POINTS))
+                if any(r != 0 for r in _residual(rel, fresh)):
+                    warnings.warn(f"discarding spurious candidate relation: {rel}")
+                    continue
             kept.append(rel)
-        else:
-            warnings.warn(f"discarding spurious candidate relation: {rel}")
     # a relation's terms follow the enumeration, so its first term leads
-    kept.sort(key=lambda r: terms.index(r.terms[0][1]))
+    position = {t: i for i, t in enumerate(terms)}
+    kept.sort(key=lambda r: position[r.terms[0][1]])
     return kept
 
 

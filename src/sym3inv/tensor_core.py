@@ -180,9 +180,16 @@ class Orthogonal3:
         )
 
     def validate(self):
-        """Raise ValueError unless Q^T Q = I, within ORTHOGONALITY_TOL for floats."""
+        """Raise ValueError unless Q^T Q = I, within ORTHOGONALITY_TOL for floats.
+
+        A NaN or infinite entry is rejected first: ``max`` never takes a NaN
+        after a number, so the defect alone can read 0 for such a matrix.
+        """
+        floats = [e for row in self.matrix for e in row if isinstance(e, float)]
+        if not all(map(math.isfinite, floats)):
+            raise ValueError("matrix entries must be finite (no NaN or Infinity)")
         defect = self.orthogonality_defect()
-        if self.field == RATIONAL:
+        if not floats:  # the RATIONAL field
             if defect != 0:
                 raise ValueError("matrix is not exactly orthogonal")
         elif defect > ORTHOGONALITY_TOL:

@@ -258,6 +258,26 @@ def test_float_invariants_add_left_to_right_from_zero():
         assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
 
 
+def test_reference_invariants_add_left_to_right_from_zero():
+    # the naive loops add from int 0 as well; builtin sum() reads I10 of the
+    # golden float tensor as -1438.8110223705587 on Python 3.12+
+    golden = reference_invariants(decompose(random_sym3(5, FLOAT, 2)))
+    assert golden["I10"] == -1438.8110223705419
+    rng = random.Random(2030)
+    for _ in range(30):
+        d, u = ([rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20) for _ in range(n)]
+                for n in (7, 3))
+        h = HarmonicParts(Traceless3Tensor(tuple(d)), u)
+        t, r = expand(h.deviator), range(3)
+        v = [ltr(t[i][j][k] * t[i][j][l] * t[k][l][p] for i in r for j in r for k in r for l in r)
+             for p in r]
+        got = reference_invariants(h)
+        assert got["I2"] == ltr(t[i][j][k] * t[i][j][k] for i in r for j in r for k in r)
+        assert got["J2"] == ltr(u[i] * u[i] for i in r)
+        assert got["I10"] == ltr(t[i][j][k] * v[i] * v[j] * v[k]
+                                 for i in r for j in r for k in r)
+
+
 def test_parity_under_vector_flip():
     rng = random.Random(22)
     for _ in range(300):

@@ -11,10 +11,11 @@ PUBLIC_NAMES = [
     "Orthogonal3", "ProductTerm", "RATIONAL", "Sym3Tensor", "SyzygyRelation",
     "Traceless3Tensor", "WITNESS_CASES", "__version__", "all_invariants",
     "builtin_relations", "check_witness", "decompose", "deviator_invariants",
-    "discover_relations", "enumerate_products", "evaluate_products", "expand", "in_span",
-    "inner_solve_u", "invariants_of", "load_tensor", "minimize", "objective",
-    "random_orthogonal", "random_sym3", "recompose", "reconstruct_I8", "reconstruct_K6",
-    "reference_invariants", "rotate", "save_tensor", "verify_relation", "witness_tensor",
+    "discover_relations", "enumerate_products", "evaluate_products", "expand",
+    "in_span", "inner_solve_u", "invariant_dimension", "invariants_of", "load_tensor",
+    "minimize", "objective", "random_orthogonal", "random_sym3", "recompose",
+    "reconstruct_I8", "reconstruct_K6", "reference_invariants", "rotate", "save_tensor",
+    "verify_relation", "witness_tensor",
 ]
 
 

@@ -1,6 +1,7 @@
 """Product enumeration, relation verification, discovery, and the symbolic guard."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -19,12 +20,15 @@ from sym3inv import (
     enumerate_products,
     evaluate_products,
     in_span,
+    invariant_dimension,
     verify_relation,
 )
 from sym3inv.exact_algebra import RationalMatrix, nullspace, rank
 from sym3inv.syzygy import (
     BASIS_NAMES,
+    DISCOVERY_BOUND,
     ELEVEN,
+    REVERIFY_BOUND,
     THIRTEEN,
     _random_columns,
     coefficient_vector,
@@ -90,6 +94,15 @@ def test_enumerate_no_duplicates_and_degrees():
     terms = enumerate_products(ELEVEN, 12)
     assert len(set(terms)) == len(terms)
     assert all(t.weighted_degree == 12 for t in terms)
+
+
+def test_enumerate_returns_a_fresh_list():
+    first = enumerate_products(THIRTEEN, 10)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    second = enumerate_products(THIRTEEN, 10)
+    assert second == expected and second is not first
 
 
 def test_enumerate_rejects_bad_degree():
@@ -373,26 +386,27 @@ def test_discovery_matrices_hold_each_product_at_each_sample(monkeypatch):
 
 
 def _sector_matrices(monkeypatch, basis, degree, seed):
-    """The matrices ``discover_relations`` passes to ``nullspace``, with its result."""
+    """The matrices ``discover_relations`` passes to ``nullspace``, their kernels, its result."""
     import sym3inv.syzygy as syz
 
-    matrices = []
+    matrices, kernels = [], []
     original_nullspace = syz.nullspace
 
     def recording_nullspace(m):
         matrices.append(m)
-        return original_nullspace(m)
+        kernels.append(original_nullspace(m))
+        return kernels[-1]
 
     monkeypatch.setattr(syz, "nullspace", recording_nullspace)
     samples = len(enumerate_products(basis, degree)) + 10
     found = discover_relations(basis, degree, seed=seed, sample_count=samples)
-    return matrices, found
+    return matrices, kernels, found
 
 
 def test_sector_residues_and_row_bits_match_the_exact_entries(monkeypatch):
     from sym3inv.exact_algebra import _prime
 
-    matrices, found = _sector_matrices(monkeypatch, ELEVEN, 16, 4)
+    matrices, _, found = _sector_matrices(monkeypatch, ELEVEN, 16, 4)
     assert len(found) == 3 and len(matrices) == 15
     for m in matrices:
         entries = np.array(m.entries, dtype=object)
@@ -406,13 +420,116 @@ def test_sector_residues_and_row_bits_match_the_exact_entries(monkeypatch):
 
 @pytest.mark.parametrize("basis, degree", [(ELEVEN, 16), (THIRTEEN, 12)])
 def test_sector_nullspace_equals_the_nullspace_of_its_exact_entries(monkeypatch, basis, degree):
-    matrices, found = _sector_matrices(monkeypatch, basis, degree, 6)
+    matrices, _, found = _sector_matrices(monkeypatch, basis, degree, 6)
     total = 0
     for m in matrices:
         kernel = nullspace(m)
         assert kernel == nullspace(RationalMatrix(m.entries))
         total += len(kernel)
     assert total == len(found)
+
+
+# ---- certificate by invariant dimension ----
+
+def test_invariant_dimension_small_cases():
+    assert invariant_dimension(0, 0) == 1
+    # I2, J2; I2^2 and I4; K4; L4; I2*J2 and J4; J2^2
+    expected = {(2, 0): 1, (0, 2): 1, (4, 0): 2, (3, 1): 1, (1, 3): 1, (2, 2): 2, (0, 4): 1}
+    for (a, b), dim in expected.items():
+        assert invariant_dimension(a, b) == dim
+    # odd total degree has no O(3)-invariants; nor have (1, 1), (3, 0), (0, 3)
+    for a, b in ((1, 0), (0, 1), (2, 1), (1, 1), (3, 0), (7, 4)):
+        assert invariant_dimension(a, b) == 0
+    with pytest.raises(ValueError):
+        invariant_dimension(-1, 3)
+
+
+@pytest.mark.parametrize("degree, relations", [
+    (10, 2), (12, 10), (14, 30), (16, 83), (18, 195), (20, 419), (22, 842), (24, 1598),
+])
+def test_invariant_dimension_predicts_the_relation_counts(degree, relations):
+    # the thirteen generate every invariant, so each bidegree has at least as
+    # many products as invariants, and the excess is the relation count
+    sizes = Counter(t.bidegree for t in enumerate_products(THIRTEEN, degree))
+    for a in range(degree + 1):
+        assert invariant_dimension(a, degree - a) <= sizes[a, degree - a]
+    assert sum(n - invariant_dimension(*key) for key, n in sizes.items()) == relations
+
+
+@pytest.mark.parametrize("degree", [10, 12, 14])
+def test_every_thirteen_sector_reaches_its_invariant_dimension(monkeypatch, degree):
+    matrices, kernels, found = _sector_matrices(monkeypatch, THIRTEEN, degree, 1)
+    sizes = Counter(t.bidegree for t in enumerate_products(THIRTEEN, degree))
+    assert len(matrices) == sum(1 for n in sizes.values() if n > 1)
+    for m, kernel in zip(matrices, kernels):
+        key = m.sector[0].bidegree
+        assert m.cols == sizes[key]
+        assert m.cols - len(kernel) == invariant_dimension(*key)
+    # a lone product is a nonzero invariant, of a one-dimensional sector
+    assert all(invariant_dimension(*key) == 1 for key, n in sizes.items() if n == 1)
+    assert sum(map(len, kernels)) == len(found)
+
+
+def _drawn_bounds(monkeypatch):
+    """The box bound of every point set ``discover_relations`` draws, in order."""
+    import sym3inv.syzygy as syz
+
+    bounds = []
+    original = syz._random_columns
+
+    def recording(rng, bound, n):
+        bounds.append(bound)
+        return original(rng, bound, n)
+
+    monkeypatch.setattr(syz, "_random_columns", recording)
+    return bounds
+
+
+def test_certified_discovery_draws_no_reverification_points(monkeypatch):
+    bounds = _drawn_bounds(monkeypatch)
+    assert len(discover_relations(THIRTEEN, 10, seed=1, sample_count=90)) == 2
+    assert bounds == [DISCOVERY_BOUND]
+
+
+def test_uncertified_discovery_still_reverifies(monkeypatch):
+    # over the eleven, the three degree-16 sectors with relations keep their
+    # rank below the invariant dimension, so their candidates are re-verified
+    bounds = _drawn_bounds(monkeypatch)
+    assert len(discover_relations(ELEVEN, 16, seed=1, sample_count=446)) == 3
+    assert bounds == [DISCOVERY_BOUND, REVERIFY_BOUND]
+
+
+@pytest.mark.parametrize("basis, degree, sector", [(ELEVEN, 16, (8, 8)), (THIRTEEN, 10, (7, 3))])
+def test_spurious_candidate_is_dropped_with_a_warning(monkeypatch, basis, degree, sector):
+    # a false kernel vector lowers the sector's rank below its dimension, so
+    # even a sector the count certified falls back to re-verification
+    import sym3inv.syzygy as syz
+
+    samples = len(enumerate_products(basis, degree)) + 10
+    expected = discover_relations(basis, degree, seed=2, sample_count=samples)
+    original_nullspace = syz.nullspace
+
+    def injecting_nullspace(m):
+        kernel = original_nullspace(m)
+        if m.sector[0].bidegree == sector:
+            kernel = kernel + [[1, 1] + [0] * (m.cols - 2)]
+        return kernel
+
+    monkeypatch.setattr(syz, "nullspace", injecting_nullspace)
+    bounds = _drawn_bounds(monkeypatch)
+    with pytest.warns(UserWarning, match="discarding spurious candidate") as caught:
+        found = discover_relations(basis, degree, seed=2, sample_count=samples)
+    assert len(caught) == 1
+    assert found == expected
+    assert bounds == [DISCOVERY_BOUND, REVERIFY_BOUND]
+
+
+def test_sample_rank_above_the_invariant_dimension_raises(monkeypatch):
+    import sym3inv.syzygy as syz
+
+    monkeypatch.setattr(syz, "invariant_dimension", lambda a, b: 0)
+    with pytest.raises(RuntimeError, match="exceeds the invariant dimension"):
+        discover_relations(THIRTEEN, 10, seed=1, sample_count=90)
 
 
 def _times(rel, name):

@@ -456,6 +456,23 @@ def test_rotate_rejects_non_orthogonal():
         rotate(random_sym3(1, RATIONAL, 3), q)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rotate_rejects_non_finite_matrix_entries(bad):
+    # the defect folds with max(), which skips a NaN after a number, so a NaN
+    # entry must be caught before it; every slot is tried
+    for i, j in itertools.product(range(3), repeat=2):
+        rows = [[1.0 if r == c else 0.0 for c in range(3)] for r in range(3)]
+        rows[i][j] = bad
+        q = Orthogonal3(tuple(map(tuple, rows)))
+        with pytest.raises(ValueError, match="finite"):
+            q.validate()
+        with pytest.raises(ValueError, match="finite"):
+            rotate(random_sym3(1, FLOAT, 3), q)
+    # finite matrices are unaffected, exact or float
+    random_orthogonal(7, 1).validate()
+    Orthogonal3(((0, 1, 0), (1, 0, 0), (0, 0, -1))).validate()
+
+
 def test_equivariance_of_decomposition():
     for seed in range(50):
         a = random_sym3(seed, FLOAT, 2)
